@@ -119,7 +119,7 @@ void BM_FeatureMatrixLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureMatrixLookup);
 
-// ---- event engine: typed pooled events vs the std::function escape hatch --
+// ---- event engine: typed event scheduling ---------------------------------
 
 void BM_EventScheduleTyped(benchmark::State& state) {
   sim::SimClock clock;
@@ -139,23 +139,6 @@ void BM_EventScheduleTyped(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 64));
 }
 BENCHMARK(BM_EventScheduleTyped);
-
-void BM_EventScheduleCallback(benchmark::State& state) {
-  sim::SimClock clock;
-  clock.reserve(1024);
-  static std::uint64_t sink = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) {
-      clock.schedule(clock.now() + static_cast<double>(i & 7),
-                     sim::SimClock::kReleasePriority,
-                     [i] { sink += static_cast<std::uint64_t>(i); });
-    }
-    clock.run_all();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 64));
-}
-BENCHMARK(BM_EventScheduleCallback);
 
 void BM_AdaptivePolicyDecision(benchmark::State& state) {
   const auto& cluster = fixture().cluster;

@@ -215,6 +215,13 @@ int main(int argc, char** argv) {
   }
   CsvCounterSink sink(csv);
 
+  harness::StreamingRunOptions run;
+  run.chunk_jobs = args.chunk;
+  run.make = options;
+  run.counter_period = args.counter_period;
+  run.counter_sink = &sink;
+  run.use_trace_leads = args.use_leads;
+
   const auto wall_start = std::chrono::steady_clock::now();
   sim::SimResult result;
   std::size_t jobs = 0;
@@ -226,31 +233,21 @@ int main(int argc, char** argv) {
         sim::quota_capacity(summary.peak_concurrent_bytes, args.quota);
     trace::GeneratedStream generated(cfg, args.chunk);
     trace::SkipUntilStream test_stream(generated, boundary);
-    harness::StreamingRunOptions run;
-    run.chunk_jobs = args.chunk;
-    run.make = options;
-    run.counter_period = args.counter_period;
-    run.counter_sink = &sink;
-    run.use_trace_leads = args.use_leads;
     result = harness::run_method_streaming(factory, method, test_stream,
                                            summary, cap, run);
     jobs = summary.job_count;
   } else if (args.mode == "materialized") {
+    // The same driver over the materialized test trace, with one window
+    // spanning all of it.
     const trace::Trace whole = trace::generate_cluster_trace(cfg);
     const trace::Trace test = whole.slice(boundary, 1e18);
-    const std::uint64_t cap = sim::quota_capacity(test, args.quota);
-    const sim::PolicyContext context =
-        factory.make_context(method, test, cap, options);
-    sim::SimConfig sim_cfg;
-    sim_cfg.ssd_capacity_bytes = cap;
-    sim_cfg.rates = factory.cost_model().rates();
-    sim_cfg.clock = context.clock;
-    sim_cfg.hint_service = context.hint_service;
-    sim_cfg.staleness = context.staleness;
-    sim_cfg.counter_period = args.counter_period;
-    sim_cfg.counter_sink = &sink;
-    sim_cfg.use_trace_leads = args.use_leads;
-    result = sim::simulate(test, *context.policy, sim_cfg);
+    const trace::TraceSummary summary = trace::summarize(test);
+    const std::uint64_t cap =
+        sim::quota_capacity(summary.peak_concurrent_bytes, args.quota);
+    trace::MaterializedStream test_stream(test);
+    run.chunk_jobs = test.size();
+    result = harness::run_method_streaming(factory, method, test_stream,
+                                           summary, cap, run);
     jobs = test.size();
   } else {
     std::fprintf(stderr, "unknown mode: %s\n", args.mode.c_str());

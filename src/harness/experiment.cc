@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "features/feature_matrix.h"
 #include "oracle/greedy_oracle.h"
 #include "policy/cachesack.h"
 #include "policy/first_fit.h"
@@ -125,22 +126,6 @@ bool MethodFactory::uses_custom_backends(const MakeOptions& options) {
          !options.pipeline_backends.empty();
 }
 
-bool MethodFactory::method_uses_feature_matrix(MethodId id,
-                                               const MakeOptions& options) {
-  switch (id) {
-    case MethodId::kAdaptiveServed:
-    case MethodId::kAdaptiveServedLatency:
-      // Both serving paths hand the matrix to PlacementService.
-      return true;
-    case MethodId::kAdaptiveRanking:
-      // Only the registry-routed (custom-backend) chain precomputes hints
-      // through the matrix; the default chain uses the shared GBDT table.
-      return uses_custom_backends(options);
-    default:
-      return false;
-  }
-}
-
 core::BackendConfig MethodFactory::backend_config() const {
   core::BackendConfig config;
   config.model = model_config_;
@@ -227,34 +212,6 @@ core::ModelBackendPtr MethodFactory::pipeline_backend(
   return backend_cache_.emplace(key, std::move(backend)).first->second;
 }
 
-features::FeatureMatrixPtr MethodFactory::feature_matrix(
-    const trace::Trace& test) const {
-  TraceIdentity identity;
-  identity.trace = &test;
-  identity.size = test.size();
-  if (!test.empty()) {
-    identity.first_job_id = test.jobs().front().job_id;
-    identity.last_job_id = test.jobs().back().job_id;
-  }
-  {
-    common::MutexLock lock(model_mutex_);
-    for (const auto& [key, matrix] : matrix_cache_) {
-      if (key == identity) return matrix;
-    }
-  }
-  // Extract outside the lock (the scan is O(jobs x features)); first
-  // insert wins if two cells raced — extraction is deterministic, so
-  // either instance is correct.
-  auto matrix = features::make_feature_matrix(features::FeatureExtractor{},
-                                              test.jobs());
-  common::MutexLock lock(model_mutex_);
-  for (const auto& [key, cached] : matrix_cache_) {
-    if (key == identity) return cached;
-  }
-  matrix_cache_.emplace_back(identity, matrix);
-  return matrix;
-}
-
 std::shared_ptr<core::ShardedModelRegistry> MethodFactory::make_registry(
     const MakeOptions& options) const {
   auto registry = std::make_shared<core::ShardedModelRegistry>();
@@ -295,111 +252,91 @@ void MethodFactory::set_true_hints(
   true_hints_ = std::move(hints);
 }
 
-std::unique_ptr<policy::PlacementPolicy> MethodFactory::make(
-    MethodId id, const trace::Trace& test,
-    std::uint64_t ssd_capacity_bytes) const {
-  return make(id, test, ssd_capacity_bytes, MakeOptions{});
-}
-
-std::unique_ptr<policy::PlacementPolicy> MethodFactory::make(
-    MethodId id, const trace::Trace& test, std::uint64_t ssd_capacity_bytes,
-    const policy::AdaptiveConfig& adaptive) const {
-  MakeOptions options;
-  options.adaptive = adaptive;
-  return make(id, test, ssd_capacity_bytes, options);
-}
-
-core::CategoryProviderPtr MethodFactory::make_provider(
-    MethodId id, const trace::Trace& test,
-    const policy::AdaptiveConfig& adaptive,
-    const MakeOptions& options) const {
-  switch (id) {
-    case MethodId::kAdaptiveHash:
-      return core::make_hash_provider(adaptive.num_categories);
-    case MethodId::kAdaptiveRanking: {
-      if (uses_custom_backends(options)) {
-        // A non-default backend mix routes through the registry; the
-        // shared GBDT hint table below does not describe these backends.
-        // One registry-grouped batched pass covers the known test jobs
-        // (bit-identical to per-job lookup by precompute_categories'
-        // contract); the sync registry provider answers any job outside
-        // the table.
-        auto registry = make_registry(options);
-        auto hints = std::make_shared<const core::CategoryHints>(
-            core::precompute_categories(*registry, test.jobs(),
-                                        adaptive.num_categories,
-                                        feature_matrix(test).get()));
-        return core::make_fallback_chain(
-            {core::make_precomputed_provider(std::move(hints),
-                                             "registry-batched"),
-             core::make_registry_provider(std::move(registry))});
-      }
-      // Share the trained model with the provider: the policy stays valid
-      // independently of this factory's lifetime, without copying the
-      // forest per cell.
-      auto model = core::make_model_provider(shared_category_model());
-      if (predicted_hints_) {
-        return core::make_fallback_chain(
-            {core::make_precomputed_provider(predicted_hints_, "predicted"),
-             std::move(model)});
-      }
-      return model;
-    }
-    case MethodId::kTrueCategory: {
-      auto model = core::make_model_provider(shared_category_model(),
-                                             /*use_true_category=*/true);
-      if (true_hints_) {
-        return core::make_fallback_chain(
-            {core::make_precomputed_provider(true_hints_, "true"),
-             std::move(model)});
-      }
-      return model;
-    }
-    case MethodId::kAdaptiveServed: {
-      // The online serving loop in deterministic single-thread mode: the
-      // test trace's requests stream through the bounded queue and the
-      // batcher; the policy consumes hints through the served provider.
-      // Deterministic mode keeps cells bit-reproducible inside parallel
-      // sweeps (and is why served results match offline-batched ones).
-      auto registry = make_registry(options);
-      serving::PlacementServiceConfig config;
-      config.num_threads = 0;  // deterministic mode
-      config.queue_capacity = std::max<std::size_t>(1024, test.size());
-      config.max_batch = 256;
-      config.fallback_num_categories = adaptive.num_categories;
-      config.feature_matrix = feature_matrix(test);
-      auto service = std::make_shared<serving::PlacementService>(
-          registry, config);
-      service->enqueue_all(test.jobs());
-      // Sync registry inference backstops requests the service dropped.
-      return core::make_fallback_chain(
-          {serving::make_served_provider(std::move(service)),
-           core::make_registry_provider(std::move(registry))});
-    }
-    default:
-      throw std::invalid_argument(
-          "MethodFactory::make_provider: not an adaptive method");
+void StreamingCell::open_window(const std::vector<trace::Job>& jobs) const {
+  if (jobs.empty()) return;
+  if (window_hints) {
+    // One registry-grouped batched pass over the window, reading a
+    // window-sized feature matrix; the sync registry provider behind the
+    // table answers any job outside it.
+    const features::FeatureMatrix matrix(features::FeatureExtractor{}, jobs);
+    window_hints->set_hints(std::make_shared<const core::CategoryHints>(
+        core::precompute_categories(*registry, jobs, num_categories,
+                                    &matrix)));
+  }
+  if (window_enqueue) {
+    // This window's requests enter the serving queue before its replay.
+    for (const trace::Job& job : jobs) window_enqueue->enqueue(job);
   }
 }
 
-std::unique_ptr<policy::PlacementPolicy> MethodFactory::make(
-    MethodId id, const trace::Trace& test, std::uint64_t ssd_capacity_bytes,
-    const MakeOptions& options) const {
-  return make_context(id, test, ssd_capacity_bytes, options).policy;
+namespace {
+
+// Wraps `provider` in the cell's seeded noise decorator (if any) and builds
+// Algorithm 1 over it.
+std::unique_ptr<policy::PlacementPolicy> adaptive_policy(
+    MethodId id, core::CategoryProviderPtr provider,
+    const policy::AdaptiveConfig& adaptive, const MakeOptions& options) {
+  if (options.hint_noise > 0.0) {
+    provider = core::make_noisy_provider(std::move(provider),
+                                         options.hint_noise,
+                                         options.noise_seed,
+                                         adaptive.num_categories);
+  }
+  return std::make_unique<policy::AdaptiveCategoryPolicy>(
+      method_name(id), std::move(provider), adaptive);
 }
 
-PolicyContext MethodFactory::make_served_latency_context(
-    const trace::Trace& test, const policy::AdaptiveConfig& adaptive,
-    const MakeOptions& options) const {
-  return make_served_latency_context_impl(
-      test.start_time(), std::max<std::size_t>(1024, test.size()),
-      feature_matrix(test), adaptive, options);
+}  // namespace
+
+std::unique_ptr<policy::PlacementPolicy> MethodFactory::make_trace_free_policy(
+    MethodId id, std::uint64_t ssd_capacity_bytes,
+    const policy::AdaptiveConfig& adaptive, const MakeOptions& options) const {
+  core::CategoryProviderPtr provider;
+  switch (id) {
+    case MethodId::kFirstFit:
+      return std::make_unique<policy::FirstFitPolicy>();
+    case MethodId::kHeuristic:
+      return std::make_unique<policy::CacheSackPolicy>(train_.jobs(),
+                                                       ssd_capacity_bytes);
+    case MethodId::kMlBaseline:
+      // Copy the trained-once prototype: two GBDT regressors per sweep
+      // instead of two per cell.
+      warm(MethodId::kMlBaseline);
+      return std::make_unique<policy::LifetimeMlPolicy>(*ml_baseline_);
+    case MethodId::kAdaptiveHash:
+      provider = core::make_hash_provider(adaptive.num_categories);
+      break;
+    case MethodId::kAdaptiveRanking:
+      // Share the trained model with the provider: the policy stays valid
+      // independently of this factory's lifetime, without copying the
+      // forest per cell.
+      provider = core::make_model_provider(shared_category_model());
+      if (predicted_hints_) {
+        provider = core::make_fallback_chain(
+            {core::make_precomputed_provider(predicted_hints_, "predicted"),
+             std::move(provider)});
+      }
+      break;
+    case MethodId::kTrueCategory:
+      provider = core::make_model_provider(shared_category_model(),
+                                           /*use_true_category=*/true);
+      if (true_hints_) {
+        provider = core::make_fallback_chain(
+            {core::make_precomputed_provider(true_hints_, "true"),
+             std::move(provider)});
+      }
+      break;
+    default:
+      throw std::invalid_argument(
+          "MethodFactory::make_trace_free_policy: method reads the test "
+          "trace or has window hooks");
+  }
+  return adaptive_policy(id, std::move(provider), adaptive, options);
 }
 
-PolicyContext MethodFactory::make_served_latency_context_impl(
+PolicyContext MethodFactory::served_latency_context(
     double epoch_start, std::size_t queue_capacity,
-    features::FeatureMatrixPtr matrix, const policy::AdaptiveConfig& adaptive,
-    const MakeOptions& options) const {
+    const policy::AdaptiveConfig& adaptive, const MakeOptions& options) const {
   PolicyContext context;
   context.clock = std::make_shared<SimClock>();
 
@@ -413,7 +350,6 @@ PolicyContext MethodFactory::make_served_latency_context_impl(
   config.queue_capacity = queue_capacity;
   config.max_batch = 256;
   config.fallback_num_categories = adaptive.num_categories;
-  config.feature_matrix = std::move(matrix);
   config.clock = context.clock;
   config.latency_model =
       options.hint_latency > 0.0
@@ -422,12 +358,10 @@ PolicyContext MethodFactory::make_served_latency_context_impl(
                 options.noise_seed ^ 0xA5A5A5A55A5A5A5AULL)
           : serving::make_zero_latency_model();
   config.virtual_request_deadline = options.hint_deadline;
-  // Unconsumed requests flush within one consumer deadline of submission.
-  config.virtual_flush_deadline = std::max(options.hint_deadline, 1e-3);
   context.hint_service = std::make_shared<serving::PlacementService>(
       context.registry, config);
-  // NOTE: no enqueue_all here — the event engine submits each request at
-  // its job's arrival event, which is what makes hints race decisions.
+  // NOTE: no window hook — the event engine submits each request at its
+  // job's arrival event, which is what makes hints race decisions.
 
   // Late or dropped hints decline, and AdaptiveCategoryPolicy degrades
   // those decisions to its hash fallback — exactly Algorithm 1's graceful
@@ -466,75 +400,9 @@ PolicyContext MethodFactory::make_served_latency_context_impl(
         [clock = context.clock] { return clock->now(); });
   }
 
-  if (options.hint_noise > 0.0) {
-    provider = core::make_noisy_provider(std::move(provider),
-                                         options.hint_noise,
-                                         options.noise_seed,
-                                         adaptive.num_categories);
-  }
-  context.policy = std::make_unique<policy::AdaptiveCategoryPolicy>(
-      method_name(MethodId::kAdaptiveServedLatency), std::move(provider),
-      adaptive);
+  context.policy = adaptive_policy(MethodId::kAdaptiveServedLatency,
+                                   std::move(provider), adaptive, options);
   return context;
-}
-
-PolicyContext MethodFactory::make_context(MethodId id,
-                                          const trace::Trace& test,
-                                          std::uint64_t ssd_capacity_bytes,
-                                          const MakeOptions& options) const {
-  const policy::AdaptiveConfig& adaptive =
-      options.adaptive.has_value() ? *options.adaptive : adaptive_config_;
-  PolicyContext context;
-  switch (id) {
-    case MethodId::kFirstFit:
-      context.policy = std::make_unique<policy::FirstFitPolicy>();
-      return context;
-    case MethodId::kHeuristic:
-      context.policy = std::make_unique<policy::CacheSackPolicy>(
-          train_.jobs(), ssd_capacity_bytes);
-      return context;
-    case MethodId::kMlBaseline:
-      // Copy the trained-once prototype: two GBDT regressors per sweep
-      // instead of two per cell.
-      warm(MethodId::kMlBaseline);
-      context.policy = std::make_unique<policy::LifetimeMlPolicy>(
-          *ml_baseline_);
-      return context;
-    case MethodId::kAdaptiveHash:
-    case MethodId::kAdaptiveRanking:
-    case MethodId::kTrueCategory:
-    case MethodId::kAdaptiveServed: {
-      auto provider = make_provider(id, test, adaptive, options);
-      if (options.hint_noise > 0.0) {
-        provider =
-            core::make_noisy_provider(std::move(provider), options.hint_noise,
-                                      options.noise_seed,
-                                      adaptive.num_categories);
-      }
-      context.policy = std::make_unique<policy::AdaptiveCategoryPolicy>(
-          method_name(id), std::move(provider), adaptive);
-      return context;
-    }
-    case MethodId::kAdaptiveServedLatency:
-      return make_served_latency_context(test, adaptive, options);
-    case MethodId::kOracleTco: {
-      const auto solution = oracle::solve_greedy(
-          test.jobs(), ssd_capacity_bytes, oracle::Objective::kTco,
-          cost_model_);
-      context.policy = std::make_unique<policy::OracleReplayPolicy>(
-          "OracleTCO", test.jobs(), solution);
-      return context;
-    }
-    case MethodId::kOracleTcio: {
-      const auto solution = oracle::solve_greedy(
-          test.jobs(), ssd_capacity_bytes, oracle::Objective::kTcio,
-          cost_model_);
-      context.policy = std::make_unique<policy::OracleReplayPolicy>(
-          "OracleTCIO", test.jobs(), solution);
-      return context;
-    }
-  }
-  throw std::invalid_argument("MethodFactory::make_context: unknown method");
 }
 
 StreamingCell MethodFactory::make_streaming_cell(
@@ -549,38 +417,36 @@ StreamingCell MethodFactory::make_streaming_cell(
     case MethodId::kOracleTco:
     case MethodId::kOracleTcio:
       // Clairvoyant by definition: the greedy solve ranks the whole test
-      // trace. The driver materializes and runs the regular cell.
+      // trace. The driver materializes and runs make_context instead.
       cell.needs_materialized = true;
+      return cell;
+    case MethodId::kAdaptiveServedLatency:
+      cell.context = served_latency_context(summary.start_time,
+                                            queue_capacity, adaptive, options);
       return cell;
     case MethodId::kAdaptiveRanking: {
       if (!uses_custom_backends(options)) break;  // per-job model inference
-      // The windowed equivalent of the registry-batched hint table: the
-      // driver precomputes each chunk through cell.registry and swaps the
-      // table into cell.window_hints; the sync registry provider answers
-      // any job outside the current window. Chunked precompute is
-      // bit-identical to the whole-trace table (batch-composition
-      // independence of precompute_categories).
+      // A non-default backend mix routes through the registry: open_window
+      // precomputes each window through cell.registry and swaps the table
+      // into cell.window_hints; the sync registry provider answers any job
+      // outside the current window.
       cell.registry = make_registry(options);
       cell.window_hints = std::make_shared<core::SwappableHintsProvider>(
           "registry-windowed");
       cell.num_categories = adaptive.num_categories;
-      core::CategoryProviderPtr provider = core::make_fallback_chain(
-          {cell.window_hints, core::make_registry_provider(cell.registry)});
-      if (options.hint_noise > 0.0) {
-        provider = core::make_noisy_provider(std::move(provider),
-                                             options.hint_noise,
-                                             options.noise_seed,
-                                             adaptive.num_categories);
-      }
-      cell.context.policy = std::make_unique<policy::AdaptiveCategoryPolicy>(
-          method_name(id), std::move(provider), adaptive);
+      cell.context.policy = adaptive_policy(
+          id,
+          core::make_fallback_chain(
+              {cell.window_hints, core::make_registry_provider(cell.registry)}),
+          adaptive, options);
       return cell;
     }
     case MethodId::kAdaptiveServed: {
-      // The offline serving loop fed chunk by chunk instead of one
-      // enqueue_all over the test trace. No shared feature matrix: the
-      // service extracts per job (bit-identical by the fallback contract);
-      // the queue is sized so a full window always fits.
+      // The online serving loop in deterministic single-thread mode, fed
+      // window by window: open_window enqueues each window's requests, and
+      // the policy consumes hints through the served provider. The service
+      // extracts features per job; the queue is sized so a full window
+      // always fits.
       auto registry = make_registry(options);
       serving::PlacementServiceConfig config;
       config.num_threads = 0;  // deterministic mode
@@ -589,53 +455,65 @@ StreamingCell MethodFactory::make_streaming_cell(
       config.fallback_num_categories = adaptive.num_categories;
       cell.window_enqueue = std::make_shared<serving::PlacementService>(
           registry, config);
-      core::CategoryProviderPtr provider = core::make_fallback_chain(
-          {serving::make_served_provider(cell.window_enqueue),
-           core::make_registry_provider(std::move(registry))});
-      if (options.hint_noise > 0.0) {
-        provider = core::make_noisy_provider(std::move(provider),
-                                             options.hint_noise,
-                                             options.noise_seed,
-                                             adaptive.num_categories);
-      }
-      cell.context.policy = std::make_unique<policy::AdaptiveCategoryPolicy>(
-          method_name(id), std::move(provider), adaptive);
+      // Sync registry inference backstops requests the service dropped.
+      cell.context.policy = adaptive_policy(
+          id,
+          core::make_fallback_chain(
+              {serving::make_served_provider(cell.window_enqueue),
+               core::make_registry_provider(std::move(registry))}),
+          adaptive, options);
       return cell;
     }
-    case MethodId::kAdaptiveServedLatency:
-      cell.context = make_served_latency_context_impl(
-          summary.start_time, queue_capacity, nullptr, adaptive, options);
-      return cell;
     default:
       break;
   }
-  // Everything else never reads the test trace at build time: train-only
-  // artifacts (Heuristic, MLBaseline), hash/model inference per job.
-  const trace::Trace empty_test(0, {});
-  cell.context = make_context(id, empty_test, ssd_capacity_bytes, options);
+  cell.context.policy =
+      make_trace_free_policy(id, ssd_capacity_bytes, adaptive, options);
   return cell;
 }
 
-SimResult run_method(const MethodFactory& factory, MethodId id,
-                     const trace::Trace& test,
-                     std::uint64_t ssd_capacity_bytes, bool record_outcomes) {
-  return run_method(factory, id, test, ssd_capacity_bytes, MakeOptions{},
-                    record_outcomes);
+PolicyContext MethodFactory::make_context(MethodId id,
+                                          const trace::Trace& test,
+                                          std::uint64_t ssd_capacity_bytes,
+                                          const MakeOptions& options) const {
+  if (id == MethodId::kOracleTco || id == MethodId::kOracleTcio) {
+    const auto solution = oracle::solve_greedy(
+        test.jobs(), ssd_capacity_bytes,
+        id == MethodId::kOracleTco ? oracle::Objective::kTco
+                                   : oracle::Objective::kTcio,
+        cost_model_);
+    PolicyContext context;
+    context.policy = std::make_unique<policy::OracleReplayPolicy>(
+        method_name(id), test.jobs(), solution);
+    return context;
+  }
+  // One window spanning the whole test trace.
+  StreamingCell cell = make_streaming_cell(
+      id, trace::summarize(test), test.size(), ssd_capacity_bytes, options);
+  cell.open_window(test.jobs());
+  return std::move(cell.context);
+}
+
+SimConfig make_sim_config(const MethodFactory& factory,
+                          const PolicyContext& context,
+                          std::uint64_t ssd_capacity_bytes) {
+  SimConfig config;
+  config.ssd_capacity_bytes = ssd_capacity_bytes;
+  config.rates = factory.cost_model().rates();
+  config.clock = context.clock;
+  config.hint_service = context.hint_service;
+  config.staleness = context.staleness;
+  return config;
 }
 
 SimResult run_method(const MethodFactory& factory, MethodId id,
                      const trace::Trace& test,
                      std::uint64_t ssd_capacity_bytes,
                      const MakeOptions& options, bool record_outcomes) {
-  const auto context =
+  const PolicyContext context =
       factory.make_context(id, test, ssd_capacity_bytes, options);
-  SimConfig config;
-  config.ssd_capacity_bytes = ssd_capacity_bytes;
-  config.rates = factory.cost_model().rates();
+  SimConfig config = make_sim_config(factory, context, ssd_capacity_bytes);
   config.record_outcomes = record_outcomes;
-  config.clock = context.clock;
-  config.hint_service = context.hint_service;
-  config.staleness = context.staleness;
   return simulate(test, *context.policy, config);
 }
 

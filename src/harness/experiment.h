@@ -12,8 +12,15 @@
 //   simulator's SimClock: hints race decisions under a pluggable
 //   LatencyModel, late hints degrade to the hash fallback, and an optional
 //   StalenessSchedule replays the paper's section-6 retraining-cadence
-//   dynamics). AdaptiveServedLatency cells need the clock/service wiring of
-//   make_context(); run_method() and ExperimentRunner do this for you.
+//   dynamics).
+//
+// One builder: MethodFactory::make_streaming_cell is the only place a
+// cell's policy and provider chain are built. make_context is the
+// whole-trace adapter over it (one window spanning the test trace) and
+// additionally solves the clairvoyant oracles; make_sim_config is the one
+// place a SimConfig is filled from the resulting PolicyContext. run_method,
+// ExperimentRunner and run_method_streaming (harness/streaming.h) all go
+// through these.
 //
 // All adaptive methods construct their category source as a
 // core::CategoryProvider chain (core/category_provider.h); MakeOptions can
@@ -38,7 +45,6 @@
 #include "core/model_registry.h"
 #include "core/staleness.h"
 #include "cost/cost_model.h"
-#include "features/feature_matrix.h"
 #include "policy/adaptive.h"
 #include "policy/lifetime_ml.h"
 #include "policy/policy.h"
@@ -115,10 +121,10 @@ struct MakeOptions {
   std::vector<std::pair<std::string, core::BackendKind>> pipeline_backends;
 };
 
-// Everything one latency-aware simulation cell needs: the policy plus the
-// virtual-time machinery behind it. Pass clock/service/staleness into
-// SimConfig (run_method and ExperimentRunner::run do this) so the engine
-// drives hint delivery and retrains on the same timeline as the arrivals.
+// Everything one simulation cell needs: the policy plus the virtual-time
+// machinery behind it. make_sim_config passes clock/service/staleness into
+// SimConfig so the engine drives hint delivery and retrains on the same
+// timeline as the arrivals.
 //
 // Lifetime: a context built with retrain_period > 0 *borrows* its factory —
 // the retrain hook trains replacement backends through it — so the factory
@@ -134,24 +140,31 @@ struct PolicyContext {
   std::shared_ptr<core::ShardedModelRegistry> registry;
 };
 
-// A streaming simulation cell (harness/streaming.h): the policy context
-// plus the window hooks the chunked driver fires at each chunk boundary.
-// Built from a TraceSummary pre-pass instead of a materialized test trace.
+// A simulation cell: the policy context plus the window hooks a driver fires
+// over each window of jobs before replaying it — per chunk in the streaming
+// driver (harness/streaming.h), once over the whole test trace in
+// make_context. Built from a TraceSummary pre-pass instead of a
+// materialized test trace.
 struct StreamingCell {
   PolicyContext context;
   // Clairvoyant methods (the oracles) cannot stream — their solve reads
   // the whole test trace by definition. The driver materializes the stream
-  // and runs the regular cell instead; everything else stays O(window).
+  // and builds make_context instead; everything else stays O(window).
   bool needs_materialized = false;
-  // Custom-backend ranking: the driver precomputes each chunk's hints
-  // (through a chunk-sized FeatureMatrix) and swaps the table in here.
+  // Custom-backend ranking: open_window precomputes each window's hints
+  // (through a window-sized FeatureMatrix) and swaps the table in here.
   std::shared_ptr<core::SwappableHintsProvider> window_hints;
-  // Offline-served cells: each chunk's jobs enqueue here before replay
-  // (the streaming equivalent of enqueue_all over the test trace).
+  // Offline-served cells: each window's jobs enqueue here before replay.
   std::shared_ptr<serving::PlacementService> window_enqueue;
   // Registry behind window_hints' precompute (null when unused).
   std::shared_ptr<core::ShardedModelRegistry> registry;
   int num_categories = 0;  // precompute width for window_hints
+
+  // Fires the window hooks for the next window of jobs (arrival order)
+  // before any of them replays. No-op for cells without hooks. Per-job
+  // results do not depend on how the jobs are split into windows
+  // (precompute_categories' batch-composition independence).
+  void open_window(const std::vector<trace::Job>& jobs) const;
 };
 
 // Trains/caches per-cluster artifacts and manufactures policies.
@@ -161,32 +174,18 @@ class MethodFactory {
                 core::CategoryModelConfig model_config = {},
                 policy::AdaptiveConfig adaptive_config = {});
 
-  // Builds a ready-to-run policy. Oracle methods are clairvoyant and need
-  // the test trace and capacity; the others ignore them at build time.
-  std::unique_ptr<policy::PlacementPolicy> make(
-      MethodId id, const trace::Trace& test,
-      std::uint64_t ssd_capacity_bytes) const;
-  // Same, with an explicit Algorithm-1 config.
-  std::unique_ptr<policy::PlacementPolicy> make(
-      MethodId id, const trace::Trace& test, std::uint64_t ssd_capacity_bytes,
-      const policy::AdaptiveConfig& adaptive) const;
-  // Full-control variant (noise injection, per-cell seeds).
-  std::unique_ptr<policy::PlacementPolicy> make(
-      MethodId id, const trace::Trace& test, std::uint64_t ssd_capacity_bytes,
-      const MakeOptions& options) const;
-  // Same, returning the virtual-time context alongside the policy. For
-  // kAdaptiveServedLatency this is the only correct entry point (a bare
-  // make() yields a policy whose serving loop never sees time advance, so
-  // every hint misses); for every other method the extra fields are null
-  // and the policy is identical to make()'s.
+  // The ready-to-run context for replaying `test`: the clairvoyant oracles
+  // solve over the whole trace; every other method is make_streaming_cell
+  // with the whole trace as its one window, hooks already fired. Fields the
+  // method does not use are null.
   PolicyContext make_context(MethodId id, const trace::Trace& test,
                              std::uint64_t ssd_capacity_bytes,
                              const MakeOptions& options) const;
-  // The streaming-cell variant: built from a TraceSummary pre-pass, never
-  // touching a materialized test trace. Serving-backed methods size their
-  // queues from `chunk_jobs` and extract features per job (bit-identical
-  // to the shared-matrix path); run_method_streaming (harness/streaming.h)
-  // drives the returned hooks.
+  // Builds the cell from a TraceSummary pre-pass, never touching a
+  // materialized test trace; the only place a cell's provider chain is
+  // built. Serving-backed methods size their queues from `chunk_jobs` and
+  // extract features per job. Oracles come back with needs_materialized
+  // set and no policy.
   StreamingCell make_streaming_cell(MethodId id,
                                     const trace::TraceSummary& summary,
                                     std::size_t chunk_jobs,
@@ -196,7 +195,7 @@ class MethodFactory {
   // Lazily trained category model (shared across makes; thread-safe, so
   // parallel experiment cells can share one factory).
   const core::CategoryModel& category_model() const;
-  // Same model as a shared handle: policies built by make() hold this
+  // Same model as a shared handle: policies the factory builds hold this
   // pointer instead of copying the forest per cell.
   std::shared_ptr<const core::CategoryModel> shared_category_model() const;
 
@@ -215,24 +214,11 @@ class MethodFactory {
   std::shared_ptr<core::ShardedModelRegistry> make_registry(
       const MakeOptions& options) const;
 
-  // The shared per-trace feature matrix: each distinct test trace is
-  // extracted exactly once (cached by trace identity) and the contiguous
-  // row-major block is shared by every cell, method, backend, and served
-  // request that consumes Table-2 features — instead of re-tokenizing the
-  // same jobs per cell. Thread-safe; parallel cells share one instance.
-  features::FeatureMatrixPtr feature_matrix(const trace::Trace& test) const;
-
   // True when the cell's backend selection differs from the plain shared
   // GBDT, in which case the method routes through a registry provider (and
-  // the provider chain precomputes hints through the shared feature
-  // matrix). The single source of truth for that routing decision.
+  // the ranking chain precomputes each window's hints through it). The
+  // single source of truth for that routing decision.
   static bool uses_custom_backends(const MakeOptions& options);
-  // True when building this method's provider chain reads the shared
-  // per-trace feature matrix — kept next to the provider construction so
-  // ExperimentRunner's warm-up (which pre-extracts the matrix for such
-  // cells) can never drift from it.
-  static bool method_uses_feature_matrix(MethodId id,
-                                         const MakeOptions& options);
 
   // Pre-trains whatever `id` needs (category model, lifetime baseline) so
   // parallel cells share finished artifacts instead of serializing on the
@@ -270,25 +256,19 @@ class MethodFactory {
   }
 
  private:
-  // The provider chain for one adaptive method (before noise decoration).
-  core::CategoryProviderPtr make_provider(
-      MethodId id, const trace::Trace& test,
+  // The policy of a method that reads nothing about the test trace at
+  // build time and has no window hooks: train-only artifacts (Heuristic,
+  // MLBaseline) or per-job hash/model inference.
+  std::unique_ptr<policy::PlacementPolicy> make_trace_free_policy(
+      MethodId id, std::uint64_t ssd_capacity_bytes,
       const policy::AdaptiveConfig& adaptive,
       const MakeOptions& options) const;
   // The virtual-time serving pipeline + optional staleness schedule of one
-  // kAdaptiveServedLatency cell.
-  PolicyContext make_served_latency_context(
-      const trace::Trace& test, const policy::AdaptiveConfig& adaptive,
-      const MakeOptions& options) const;
-  // Shared body: materialized cells pass the test trace's horizon, size,
-  // and shared feature matrix; streaming cells pass summary-derived values
-  // and a null matrix (the service then extracts features per job —
-  // bit-identical by the FeatureMatrix fallback contract).
-  PolicyContext make_served_latency_context_impl(
-      double epoch_start, std::size_t queue_capacity,
-      features::FeatureMatrixPtr matrix,
-      const policy::AdaptiveConfig& adaptive,
-      const MakeOptions& options) const;
+  // kAdaptiveServedLatency cell; retrain windows start at `epoch_start`.
+  PolicyContext served_latency_context(double epoch_start,
+                                       std::size_t queue_capacity,
+                                       const policy::AdaptiveConfig& adaptive,
+                                       const MakeOptions& options) const;
   // The shared BackendConfig backends are trained with.
   core::BackendConfig backend_config() const;
   // This pipeline's slice of the training history (cached: retrain events
@@ -328,40 +308,26 @@ class MethodFactory {
   mutable std::map<std::string,
                    std::shared_ptr<const std::vector<trace::Job>>>
       history_cache_ BYOM_GUARDED_BY(model_mutex_);
-  // Cheap fingerprint for "is this the same test trace I already
-  // extracted?" — the borrowed pointer alone could be reused by a later
-  // allocation, so the size and boundary job ids are checked too.
-  struct TraceIdentity {
-    const void* trace = nullptr;
-    std::size_t size = 0;
-    std::uint64_t first_job_id = 0;
-    std::uint64_t last_job_id = 0;
-    bool operator==(const TraceIdentity& other) const {
-      return trace == other.trace && size == other.size &&
-             first_job_id == other.first_job_id &&
-             last_job_id == other.last_job_id;
-    }
-  };
-  // Extracted-once feature matrices per test trace (see feature_matrix).
-  // A handful of traces per factory, so a flat vector beats a map.
-  mutable std::vector<std::pair<TraceIdentity, features::FeatureMatrixPtr>>
-      matrix_cache_ BYOM_GUARDED_BY(model_mutex_);
-  // Trained-once prototype; make() hands out cheap copies (the policy is
+  // Trained-once prototype; each cell gets a cheap copy (the policy is
   // stateless after construction but each simulation owns its instance).
   mutable std::shared_ptr<const policy::LifetimeMlPolicy> ml_baseline_
       BYOM_GUARDED_BY(model_mutex_);
 };
 
-// Convenience: build policy for `id`, simulate `test` under the quota, and
-// return the result. Wires the virtual-time context (clock, hint service,
-// staleness schedule) into the simulation automatically.
+// The SimConfig that replays `context` under the quota: capacity, the
+// factory's cost rates, and the cell's virtual-time wiring (clock, hint
+// service, staleness schedule). The one place a SimConfig is filled from a
+// PolicyContext; callers add run-level knobs (outcomes, counters, leads).
+SimConfig make_sim_config(const MethodFactory& factory,
+                          const PolicyContext& context,
+                          std::uint64_t ssd_capacity_bytes);
+
+// Convenience: make_context for `id`, then simulate `test` under the quota
+// with make_sim_config's wiring, and return the result.
 SimResult run_method(const MethodFactory& factory, MethodId id,
                      const trace::Trace& test,
                      std::uint64_t ssd_capacity_bytes,
+                     const MakeOptions& options = {},
                      bool record_outcomes = false);
-SimResult run_method(const MethodFactory& factory, MethodId id,
-                     const trace::Trace& test,
-                     std::uint64_t ssd_capacity_bytes,
-                     const MakeOptions& options, bool record_outcomes = false);
 
 }  // namespace byom::sim

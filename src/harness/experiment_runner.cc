@@ -80,15 +80,7 @@ void ExperimentRunner::warm_models(
       throw std::out_of_range("ExperimentRunner: cell references unknown "
                               "cluster");
     }
-    const MakeOptions options = options_for(cell);
-    clusters_[cell.cluster].factory->warm(cell.method, options);
-    if (MethodFactory::method_uses_feature_matrix(cell.method, options)) {
-      // The cell reads the trace's shared feature matrix; extract it once
-      // up front instead of letting the first few workers race to build
-      // duplicates.
-      clusters_[cell.cluster].factory->feature_matrix(
-          *clusters_[cell.cluster].test);
-    }
+    clusters_[cell.cluster].factory->warm(cell.method, options_for(cell));
   }
 }
 
@@ -98,17 +90,9 @@ CellResult ExperimentRunner::run_cell(const ExperimentCell& cell) const {
   out.cell = cell;
   out.capacity_bytes = quota_capacity(cluster.peak_bytes, cell.quota);
 
-  const MakeOptions options = options_for(cell);
-  const auto context = cluster.factory->make_context(
-      cell.method, *cluster.test, out.capacity_bytes, options);
-  SimConfig config;
-  config.ssd_capacity_bytes = out.capacity_bytes;
-  config.rates = cluster.factory->cost_model().rates();
-  config.record_outcomes = cell.record_outcomes;
-  config.clock = context.clock;
-  config.hint_service = context.hint_service;
-  config.staleness = context.staleness;
-  out.result = simulate(*cluster.test, *context.policy, config);
+  out.result = run_method(*cluster.factory, cell.method, *cluster.test,
+                          out.capacity_bytes, options_for(cell),
+                          cell.record_outcomes);
   return out;
 }
 

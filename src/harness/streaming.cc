@@ -1,22 +1,19 @@
 #include "harness/streaming.h"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
-
-#include "core/byom.h"
-#include "features/feature_matrix.h"
 
 namespace byom::harness {
 
 namespace {
 
 // Chunk-buffering decorator: copies the inner stream's jobs into a recycled
-// chunk buffer and fires the cell's window hooks (hint precompute through a
-// chunk-sized FeatureMatrix, serving enqueue) before the chunk's first job
-// is handed out. Slot assignments reuse string capacity, so steady state
-// allocates only what the hooks themselves build per window.
+// chunk buffer and opens the cell's window over it (StreamingCell::
+// open_window) before the chunk's first job is handed out. Slot assignments
+// reuse string capacity, so steady state allocates only what the hooks
+// themselves build per window.
 class WindowedStream final : public trace::JobStream {
  public:
   WindowedStream(trace::JobStream& inner, std::size_t chunk_jobs,
@@ -51,27 +48,7 @@ class WindowedStream final : public trace::JobStream {
     // Final partial chunk: shrink so the hooks see exactly the window.
     if (n < buffer_.size()) buffer_.resize(n);
     count_ = n;
-    if (n == 0) return;
-
-    if (cell_->window_hints) {
-      // One registry-grouped batched pass over the window, reading a
-      // chunk-sized feature matrix — per-job results are identical to the
-      // whole-trace table (precompute_categories' contract).
-      const auto matrix = features::make_feature_matrix(
-          features::FeatureExtractor{}, buffer_);
-      cell_->window_hints->set_hints(
-          std::make_shared<const core::CategoryHints>(
-              core::precompute_categories(*cell_->registry, buffer_,
-                                          cell_->num_categories,
-                                          matrix.get())));
-    }
-    if (cell_->window_enqueue) {
-      // The streaming equivalent of enqueue_all(test.jobs()): this
-      // window's requests enter the serving queue before its replay.
-      for (const trace::Job& job : buffer_) {
-        cell_->window_enqueue->enqueue(job);
-      }
-    }
+    cell_->open_window(buffer_);
   }
 
   trace::JobStream* inner_;
@@ -90,38 +67,31 @@ sim::SimResult run_method_streaming(const sim::MethodFactory& factory,
                                     const trace::TraceSummary& summary,
                                     std::uint64_t ssd_capacity_bytes,
                                     const StreamingRunOptions& options) {
-  sim::SimConfig config;
-  config.ssd_capacity_bytes = ssd_capacity_bytes;
-  config.rates = factory.cost_model().rates();
+  sim::StreamingCell cell = factory.make_streaming_cell(
+      id, summary, options.chunk_jobs, ssd_capacity_bytes, options.make);
+  std::optional<trace::Trace> test;
+  if (cell.needs_materialized) {
+    // Clairvoyant methods (oracles) rank the whole test trace before the
+    // replay starts; streaming cannot help them. Materialize once, build
+    // the whole-trace context, and replay through the same engine path
+    // (the Trace overload fills horizon/expected_jobs itself).
+    std::vector<trace::Job> jobs;
+    jobs.reserve(summary.job_count);
+    while (const trace::Job* job = stream.next()) jobs.push_back(*job);
+    test.emplace(stream.cluster_id(), std::move(jobs));
+    cell.context =
+        factory.make_context(id, *test, ssd_capacity_bytes, options.make);
+  }
+
+  sim::SimConfig config =
+      sim::make_sim_config(factory, cell.context, ssd_capacity_bytes);
   config.record_outcomes = options.record_outcomes;
   config.counter_period = options.counter_period;
   config.counter_sink = options.counter_sink;
   config.use_trace_leads = options.use_trace_leads;
   config.max_hint_lead = options.max_hint_lead;
+  if (test) return sim::simulate(*test, *cell.context.policy, config);
 
-  const sim::StreamingCell cell = factory.make_streaming_cell(
-      id, summary, options.chunk_jobs, ssd_capacity_bytes, options.make);
-
-  if (cell.needs_materialized) {
-    // Clairvoyant methods (oracles) rank the whole test trace before the
-    // replay starts; streaming cannot help them. Materialize once, build
-    // the regular cell, and replay through the same engine path (the Trace
-    // overload fills horizon/expected_jobs itself).
-    std::vector<trace::Job> jobs;
-    jobs.reserve(summary.job_count);
-    while (const trace::Job* job = stream.next()) jobs.push_back(*job);
-    const trace::Trace test(stream.cluster_id(), std::move(jobs));
-    const auto context =
-        factory.make_context(id, test, ssd_capacity_bytes, options.make);
-    config.clock = context.clock;
-    config.hint_service = context.hint_service;
-    config.staleness = context.staleness;
-    return sim::simulate(test, *context.policy, config);
-  }
-
-  config.clock = cell.context.clock;
-  config.hint_service = cell.context.hint_service;
-  config.staleness = cell.context.staleness;
   config.horizon_start = summary.start_time;
   config.horizon_end = summary.end_time;
   config.expected_jobs = summary.job_count;

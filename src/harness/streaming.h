@@ -8,14 +8,15 @@
 //      seeing a materialized test trace;
 //   3. when the cell has window hooks (chunked hint precompute, chunked
 //      serving enqueue), the stream is wrapped in a windowing decorator
-//      that fires them at each chunk boundary, reusing one chunk-sized
-//      buffer and one chunk-sized FeatureMatrix per window.
+//      that opens a window (StreamingCell::open_window) at each chunk
+//      boundary, reusing one chunk-sized buffer.
 //
 // Results are bit-identical to run_method over the materialized trace for
-// every MethodId (pinned by stream_test): the simulator runs one engine
-// code path for both, providers are batch-composition independent, and the
-// clairvoyant oracles — which read the whole test trace by definition —
-// are materialized internally and documented as such.
+// every MethodId (pinned by stream_test): run_method builds the same cell
+// with one whole-trace window, the simulator runs one engine code path for
+// both, providers are batch-composition independent, and the clairvoyant
+// oracles — which read the whole test trace by definition — are
+// materialized internally and documented as such.
 #pragma once
 
 #include <cstdint>

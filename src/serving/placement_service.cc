@@ -95,34 +95,6 @@ bool PlacementService::enqueue(const trace::Job& job) {
   // atomic: relaxed — stats counter; publishes no data, only summed
   // by stats()
   shard.enqueued.fetch_add(1, std::memory_order_relaxed);
-  if (virtual_time() && config_.virtual_flush_deadline > 0.0 &&
-      !config_.drain_on_lookup) {
-    // The batcher's flush deadline, in virtual time: even if no consumer
-    // ever asks, whatever is queued gets computed and delivered by then.
-    // Only armed when lookups do NOT drain — when they do (the simulator's
-    // regime), every request is computed at its consumer's decision and the
-    // flush event would just fire on an empty queue, one wasted heap event
-    // per arrival. The pending flag is guarded by results_mutex like the
-    // rest of the virtual-time state (it used to be read and set with no
-    // lock at all — the kind of discipline slip the thread-safety
-    // annotations now reject at compile time); the event is scheduled
-    // after the lock is dropped so the clock never runs under it.
-    bool arm = false;
-    {
-      common::MutexLock lock(shard.results_mutex);
-      if (!shard.flush_event_pending) {
-        shard.flush_event_pending = true;
-        arm = true;
-      }
-    }
-    if (arm) {
-      config_.clock->schedule_typed(
-          config_.clock->now() + config_.virtual_flush_deadline,
-          sim::SimClock::kHintReadyPriority,
-          sim::SimClock::EventKind::kBatcherFlush,
-          &PlacementService::on_flush_event, this);
-    }
-  }
   return true;
 }
 
@@ -148,7 +120,7 @@ std::optional<int> PlacementService::wait_for_virtual(std::uint64_t job_id) {
   Shard& shard = *shards_.front();  // virtual-time mode is single-shard
   const double now = config_.clock->now();
   auto hint = lookup(job_id);
-  if (!hint && config_.drain_on_lookup) {
+  if (!hint) {
     // Compute everything queued so far; results land in the published table
     // (ready now) or the in-flight table (ready in the future).
     shard.batcher.drain();
@@ -203,7 +175,7 @@ std::optional<int> PlacementService::wait_for_on(Shard& shard,
       const auto it = shard.results.find(job_id);
       if (it != shard.results.end()) hint = it->second;
     }
-    if (!hint && config_.drain_on_lookup) {
+    if (!hint) {
       // Process everything queued on this shard on this thread: the "every
       // request meets its deadline" regime, with no timing dependence.
       shard.batcher.drain();
@@ -280,7 +252,7 @@ std::optional<int> PlacementService::wait_for(std::uint64_t job_id) {
 
   if (deterministic()) {
     Shard* owner = scan();
-    if (!owner && config_.drain_on_lookup) {
+    if (!owner) {
       for (const auto& shard : shards_) shard->batcher.drain();
       owner = scan();
     }
@@ -330,18 +302,6 @@ void PlacementService::on_hint_ready_event(void* ctx, std::uint64_t job_id,
   static_cast<PlacementService*>(ctx)->deliver_virtual(job_id);
 }
 
-void PlacementService::on_flush_event(void* ctx, std::uint64_t, double) {
-  auto* service = static_cast<PlacementService*>(ctx);
-  Shard& shard = *service->shards_.front();
-  {
-    // Clear before draining: a drain that enqueues follow-up work may
-    // legitimately re-arm the flush event.
-    common::MutexLock lock(shard.results_mutex);
-    shard.flush_event_pending = false;
-  }
-  shard.batcher.drain();
-}
-
 void PlacementService::deliver_virtual(std::uint64_t job_id) {
   // Hint-ready event: move the in-flight hint into the published table. If
   // the consumer already took it mid-wait (or it was never computed) there
@@ -370,8 +330,7 @@ void PlacementService::execute_batch(Shard& shard,
   jobs.reserve(batch.size());
   for (const auto& request : batch) jobs.push_back(request.job);
   const core::CategoryHints hints = core::precompute_categories(
-      *registry_, jobs, config_.fallback_num_categories,
-      config_.feature_matrix.get());
+      *registry_, jobs, config_.fallback_num_categories);
 
   if (virtual_time()) {
     const double now = config_.clock->now();

@@ -72,7 +72,6 @@
 #include "common/thread_annotations.h"
 #include "core/byom.h"
 #include "core/category_provider.h"
-#include "features/feature_matrix.h"
 #include "serving/batcher.h"
 #include "serving/inference_queue.h"
 #include "serving/latency_model.h"
@@ -105,15 +104,6 @@ struct PlacementServiceConfig {
   // Jobs whose workload has no model in the registry are served the robust
   // hash fallback over this N (mirrors core::precompute_categories).
   int fallback_num_categories = 15;
-  // Optional shared pre-extracted feature matrix for the trace being
-  // served: batch execution reads its contiguous rows instead of
-  // re-extracting each requested job (bit-identical results). Immutable, so
-  // worker threads share it without locking.
-  features::FeatureMatrixPtr feature_matrix;
-  // Deterministic mode only: when false, provider lookups do NOT drain the
-  // queue — pending requests never complete, so every lookup declines.
-  // Exists to test deadline-miss/fallback accounting deterministically.
-  bool drain_on_lookup = true;
 
   // ---- virtual-time mode (requires num_threads == 0, num_shards <= 1) ----
   // The shared virtual time source. Setting it switches the deterministic
@@ -127,13 +117,6 @@ struct PlacementServiceConfig {
   // of the lookup is consumed on time; anything slower is a miss and a late
   // delivery. The virtual analogue of `request_deadline`.
   double virtual_request_deadline = 0.0;
-  // Batcher flush deadline in virtual seconds: requests still queued this
-  // long after submission are force-flushed by a clock event, so hints for
-  // consumers that never ask still reach the results table. Only armed
-  // when drain_on_lookup is false — when lookups drain, every request is
-  // computed at its consumer's decision and the event would be a no-op.
-  // <= 0 disables the flush event.
-  double virtual_flush_deadline = 0.0;
 };
 
 // Aggregate serving counters (all monotonic), summed across shards with
@@ -286,7 +269,6 @@ class PlacementService : public sim::HintService {
     // consistency with the results table).
     std::unordered_map<std::uint64_t, InFlightHint> in_flight
         BYOM_GUARDED_BY(results_mutex);
-    bool flush_event_pending BYOM_GUARDED_BY(results_mutex) = false;
 
     // Written by the constructor before any worker runs and joined by
     // shutdown() under shutdown_mutex_; never touched by the workers
@@ -302,11 +284,9 @@ class PlacementService : public sim::HintService {
   void publish_virtual(Shard& shard, std::uint64_t job_id, int category,
                        double virtual_latency);
   void deliver_virtual(std::uint64_t job_id);
-  // Typed SimClock trampolines (virtual-time mode, shard 0): hint-ready
-  // delivery and the batcher's virtual flush deadline, dispatched with zero
-  // allocation.
+  // Typed SimClock trampoline (virtual-time mode, shard 0): hint-ready
+  // delivery, dispatched with zero allocation.
   static void on_hint_ready_event(void* ctx, std::uint64_t job_id, double);
-  static void on_flush_event(void* ctx, std::uint64_t, double);
   std::optional<int> wait_for_on(Shard& shard, std::uint64_t job_id);
   std::optional<int> wait_for_virtual(std::uint64_t job_id);
   void worker_loop(Shard& shard);

@@ -1,22 +1,18 @@
 // SimClock — the virtual time source of the event-driven simulation core.
 //
 // The simulator, the serving pipeline, and the staleness machinery all share
-// one injectable clock instead of reading wall time: arrivals, hint-ready
-// deliveries, batcher flushes, and model retrains are events on a single
+// one injectable clock instead of reading wall time: arrivals, capacity
+// releases, hint-ready deliveries, and model retrains are events on a single
 // virtual timeline, so a hint produced by the serving loop can genuinely
 // arrive *after* the placement decision that wanted it, and the whole run
 // stays bit-reproducible regardless of host speed or thread count.
 //
-// Event representation: the hot path schedules *typed* events — a 40-byte
-// POD carrying a flat trampoline (plain function pointer), a context
-// pointer, one payload word (released bytes, job id, ...), and a packed
-// (priority, sequence, kind) ordering key — pushed into a contiguous 4-ary
-// min-heap. Scheduling is a push into a flat arena: no std::function
-// construction, no per-event heap allocation, no virtual dispatch. The
-// std::function overload `schedule(time, fn)` is kept as an escape hatch
-// for tests and one-off callers; its closures live in a pooled free-list of
-// slots and are dispatched through the same typed heap, so mixing the two
-// keeps the global event order.
+// Event representation: every event is *typed* — a 40-byte POD carrying a
+// flat trampoline (plain function pointer), a context pointer, one payload
+// word (released bytes, job id, ...), and a packed (priority, sequence,
+// kind) ordering key — pushed into a contiguous 4-ary min-heap. Scheduling
+// is a push into a flat arena: no std::function construction, no per-event
+// heap allocation, no virtual dispatch.
 //
 // Determinism contract: events execute in (time, priority, sequence) order.
 // `priority` breaks ties at equal timestamps between event kinds (capacity
@@ -29,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -43,7 +38,6 @@ namespace byom::sim {
 // clock; the reference simulator runs one clock on one thread).
 class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
  public:
-  using EventFn = std::function<void()>;
   // Typed-event trampoline: `ctx` is the scheduling subsystem's own object
   // (simulation engine, placement service, ...), `arg` one payload word,
   // `time` the virtual instant the event was scheduled to fire at.
@@ -53,11 +47,9 @@ class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
   // debugging; dispatch goes through the stored trampoline, so SimClock
   // never depends on the subsystems that schedule on it.
   enum class EventKind : std::uint8_t {
-    kRelease,       // SSD capacity released at a job's eviction/end time
-    kRetrain,       // model retrain instant on the staleness schedule
-    kHintReady,     // a served category hint becomes visible to consumers
-    kBatcherFlush,  // virtual-time batcher flush deadline
-    kCallback,      // pooled std::function escape hatch
+    kRelease,    // SSD capacity released at a job's eviction/end time
+    kRetrain,    // model retrain instant on the staleness schedule
+    kHintReady,  // a served category hint becomes visible to consumers
   };
 
   // Tie-break ranks for events scheduled at the same virtual time. Lower
@@ -90,16 +82,9 @@ class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
                                Handler handler, void* ctx,
                                std::uint64_t arg = 0);
 
-  // Escape hatch: schedules an arbitrary closure through the pooled
-  // free-list (tests, one-off callers). Same heap, same ordering contract.
-  std::uint64_t schedule(double time, int priority, EventFn fn);
-  std::uint64_t schedule(double time, EventFn fn) {
-    return schedule(time, kDefaultPriority, std::move(fn));
-  }
-
-  // Pre-sizes the event arena (heap + closure pool) so a replay of known
-  // size never reallocates mid-run.
-  void reserve(std::size_t events);
+  // Pre-sizes the event heap so a replay of known size never reallocates
+  // mid-run.
+  void reserve(std::size_t events) { heap_.reserve(events); }
 
   // Pops and runs the earliest pending event, advancing now() to its time.
   // Returns false when no events are pending.
@@ -124,7 +109,11 @@ class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
 
   // Runs events until none are pending (events may schedule further
   // events). Returns the number executed.
-  std::size_t run_all();
+  std::size_t run_all() {
+    std::size_t executed = 0;
+    while (run_next()) ++executed;
+    return executed;
+  }
 
   std::size_t pending() const { return heap_.size(); }
   std::uint64_t processed() const { return processed_; }
@@ -198,20 +187,10 @@ class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
     event.handler(event.ctx, event.arg, event.time);
   }
 
-  // Trampoline for the escape hatch: moves the pooled closure out of its
-  // slot (freeing the slot for events the closure may itself schedule),
-  // then invokes it.
-  static void run_pooled_fn(void* ctx, std::uint64_t slot, double time);
-
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::vector<Event> heap_;
-  // Closure pool for the escape hatch: slot indices recycle through the
-  // free list, so steady-state schedule(fn) reuses storage instead of
-  // allocating a fresh node per event.
-  std::vector<EventFn> fn_pool_;
-  std::vector<std::uint32_t> fn_free_;
 };
 
 // hotpath: one POD push per scheduled event; steady state must not allocate

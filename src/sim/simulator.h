@@ -12,7 +12,9 @@
 // what drives the model-staleness dynamics of the paper's section 6.
 // With zero hint latency and no staleness schedule the event engine is
 // bit-identical to the synchronous reference replay (simulate_synchronous),
-// which is kept as the regression oracle.
+// which stays as a deliberately simple reference implementation; the exact
+// results of every method are additionally pinned as golden digests
+// (tests/golden/sim_digests.txt).
 #pragma once
 
 #include <cstdint>
@@ -51,7 +53,7 @@ struct SimConfig {
   // after the run, folds the service's timeliness counters into SimResult.
   // Typed as the sim-layer HintService interface (sim/hint_service.h);
   // the concrete serving::PlacementService must share `clock`
-  // (MethodFactory::make_context wires this).
+  // (the harness's make_sim_config wires this).
   std::shared_ptr<HintService> hint_service;
   // Retraining cadence: the engine schedules one retrain event per period
   // on the timeline (SimClock::kRetrainPriority) and counts them.
@@ -145,7 +147,8 @@ SimResult simulate(trace::JobStream& stream, policy::PlacementPolicy& policy,
 
 // The pre-event-engine synchronous replay: a tight per-job loop with every
 // hint instantly available. Ignores clock / hint_service / staleness. Kept
-// as the bit-identity regression oracle for the zero-latency regime.
+// as the reference implementation the event engine must match bit for bit
+// in the zero-latency regime (sim_test, hotpath_test).
 SimResult simulate_synchronous(const trace::Trace& trace,
                                policy::PlacementPolicy& policy,
                                const SimConfig& config);

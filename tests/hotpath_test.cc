@@ -1,4 +1,4 @@
-// Hot-path regression suite for the typed pooled event engine and the
+// Hot-path regression suite for the typed event engine and the
 // zero-allocation feature pipeline:
 //   * allocation-count guards (a global operator new hook) pinning the
 //     "zero steady-state heap allocations" contract of
@@ -134,27 +134,6 @@ TEST(AllocationGuard, TypedEventSchedulingIsAllocationFreeInSteadyState) {
       << "typed event scheduling allocated in steady state";
 }
 
-TEST(AllocationGuard, PooledEscapeHatchReusesSlotsInSteadyState) {
-  // The std::function escape hatch is not allocation-free (capturing
-  // closures may allocate), but its slot storage must recycle: scheduling
-  // capture-light closures round after round settles to zero allocations
-  // once the pool is warm.
-  sim::SimClock clock;
-  clock.reserve(64);
-  static std::uint64_t sink = 0;
-  const auto round = [&] {
-    for (int i = 0; i < 32; ++i) {
-      clock.schedule(clock.now() + 1.0, [] { ++sink; });
-    }
-    clock.run_all();
-  };
-  round();  // warm-up: pool + heap at capacity
-  const std::uint64_t before = allocations();
-  for (int r = 0; r < 4; ++r) round();
-  EXPECT_EQ(allocations(), before)
-      << "pooled escape-hatch slots were not reused";
-}
-
 TEST(AllocationGuard, CompiledBatchScoringIsAllocationFreeInSteadyState) {
   // The compiled flat-forest kernel over a pre-extracted strided block into
   // a preallocated scores buffer: the whole scoring loop must run without
@@ -248,21 +227,21 @@ TEST(AllocationGuard, GeneratedStreamInChunkNextIsAllocationFree) {
 
 // ---------------------------------------------------- typed event engine
 
-TEST(TypedEvents, InterleaveWithEscapeHatchBySequence) {
+TEST(TypedEvents, KindsInterleaveBySequence) {
+  // The kind tag sits below the sequence in the packed key: at equal time
+  // and priority, events of different kinds run in schedule order.
   sim::SimClock clock;
   std::vector<int> order;
   const auto record = [](void* ctx, std::uint64_t arg, double) {
     static_cast<std::vector<int>*>(ctx)->push_back(static_cast<int>(arg));
   };
-  clock.schedule_typed(1.0, sim::SimClock::kArrivalPriority,
-                       sim::SimClock::EventKind::kRelease, +record, &order, 0);
-  clock.schedule(1.0, sim::SimClock::kArrivalPriority,
-                 [&order] { order.push_back(1); });
-  clock.schedule_typed(1.0, sim::SimClock::kArrivalPriority,
-                       sim::SimClock::EventKind::kHintReady, +record, &order,
-                       2);
-  clock.schedule(1.0, sim::SimClock::kArrivalPriority,
-                 [&order] { order.push_back(3); });
+  const sim::SimClock::EventKind kinds[] = {
+      sim::SimClock::EventKind::kHintReady, sim::SimClock::EventKind::kRelease,
+      sim::SimClock::EventKind::kRetrain, sim::SimClock::EventKind::kRelease};
+  for (int i = 0; i < 4; ++i) {
+    clock.schedule_typed(1.0, sim::SimClock::kArrivalPriority, kinds[i],
+                         +record, &order, static_cast<std::uint64_t>(i));
+  }
   EXPECT_EQ(clock.run_all(), 4u);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
@@ -274,11 +253,11 @@ TEST(TypedEvents, PriorityStillOutranksSequenceAcrossKinds) {
     static_cast<std::vector<int>*>(ctx)->push_back(static_cast<int>(arg));
   };
   clock.schedule_typed(2.0, sim::SimClock::kArrivalPriority,
-                       sim::SimClock::EventKind::kCallback, +record, &order,
+                       sim::SimClock::EventKind::kRelease, +record, &order,
                        3);
   clock.schedule_typed(2.0, sim::SimClock::kHintReadyPriority,
-                       sim::SimClock::EventKind::kBatcherFlush, +record,
-                       &order, 2);
+                       sim::SimClock::EventKind::kHintReady, +record, &order,
+                       2);
   clock.schedule_typed(2.0, sim::SimClock::kRetrainPriority,
                        sim::SimClock::EventKind::kRetrain, +record, &order, 1);
   clock.schedule_typed(2.0, sim::SimClock::kReleasePriority,
@@ -309,7 +288,7 @@ TEST(TypedEvents, HandlerReceivesScheduledTime) {
     *static_cast<double*>(ctx) = time;
   };
   clock.schedule_typed(4.5, sim::SimClock::kDefaultPriority,
-                       sim::SimClock::EventKind::kCallback, +record,
+                       sim::SimClock::EventKind::kRelease, +record,
                        &fired_at);
   clock.run_all();
   EXPECT_DOUBLE_EQ(fired_at, 4.5);
@@ -396,7 +375,7 @@ TEST(FeatureMatrixIdentity, ModelPredictCategoriesOverloadMatches) {
 
 // The acceptance oracle extended to registry/matrix-routed backends: with a
 // non-default backend the AdaptiveRanking provider chain precomputes hints
-// through the shared FeatureMatrix, and the typed event engine must still
+// through a window-sized FeatureMatrix, and the typed event engine must still
 // replay byte-for-byte like the synchronous reference loop.
 TEST(EventEngineIdentity, MatrixRoutedBackendsMatchSynchronousOracle) {
   static const sim::MethodFactory factory = [] {
@@ -414,13 +393,13 @@ TEST(EventEngineIdentity, MatrixRoutedBackendsMatchSynchronousOracle) {
     SCOPED_TRACE(core::backend_kind_name(kind));
     sim::MakeOptions options;
     options.backend = kind;
-    const auto event_policy = factory.make(sim::MethodId::kAdaptiveRanking,
+    const auto event = factory.make_context(sim::MethodId::kAdaptiveRanking,
+                                            split().test, cap, options);
+    const auto sync = factory.make_context(sim::MethodId::kAdaptiveRanking,
                                            split().test, cap, options);
-    const auto sync_policy = factory.make(sim::MethodId::kAdaptiveRanking,
-                                          split().test, cap, options);
-    const auto event_result = simulate(split().test, *event_policy, config);
+    const auto event_result = simulate(split().test, *event.policy, config);
     const auto sync_result =
-        simulate_synchronous(split().test, *sync_policy, config);
+        simulate_synchronous(split().test, *sync.policy, config);
     EXPECT_EQ(event_result.tco_actual, sync_result.tco_actual);
     EXPECT_EQ(event_result.tcio_actual_seconds,
               sync_result.tcio_actual_seconds);

@@ -10,7 +10,6 @@
 
 #include "core/byom.h"
 #include "core/category_provider.h"
-#include "features/feature_matrix.h"
 #include "serving/batcher.h"
 #include "serving/inference_queue.h"
 #include "serving/placement_service.h"
@@ -253,25 +252,28 @@ TEST(PlacementService, DeterministicModeIsRunToRunIdentical) {
 }
 
 TEST(PlacementService, MissedDeadlineCountsFallbacks) {
+  // Lookups of jobs that were never requested miss even though the lookup
+  // drains the queue: there is no hint to find.
   auto& f = fixture();
   const auto& jobs = f.split.test.jobs();
-  auto config = f.deterministic_config();
-  config.drain_on_lookup = false;  // pending requests never complete
+  ASSERT_GE(jobs.size(), 3u);
+  const auto config = f.deterministic_config();
   PlacementService service(f.registry, config);
-  service.enqueue_all(jobs);
+  ASSERT_TRUE(service.enqueue(jobs[1]));
 
   EXPECT_FALSE(service.wait_for(jobs.front().job_id).has_value());
   EXPECT_FALSE(service.wait_for(jobs.back().job_id).has_value());
+  EXPECT_TRUE(service.wait_for(jobs[1].job_id).has_value());
   const auto stats = service.stats();
-  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
 
   // The consumer side degrades gracefully: a policy over the served
-  // provider falls back to the hash category for every decision.
+  // provider of a service nobody enqueued into falls back to the hash
+  // category for every decision.
   policy::AdaptiveConfig adaptive;
   adaptive.num_categories = f.model->num_categories();
   auto service_ptr = std::make_shared<PlacementService>(f.registry, config);
-  service_ptr->enqueue_all(jobs);
   policy::AdaptiveCategoryPolicy policy(
       "served", make_served_provider(service_ptr), adaptive);
   policy::StorageView view;
@@ -286,7 +288,6 @@ TEST(PlacementService, FullQueueDropsRequests) {
   auto& f = fixture();
   auto config = f.deterministic_config();
   config.queue_capacity = 4;
-  config.drain_on_lookup = true;
   PlacementService service(f.registry, config);
   const auto& jobs = f.split.test.jobs();
   ASSERT_GT(jobs.size(), 8u);
@@ -383,49 +384,6 @@ TEST(PlacementService, ThreadedModeServesHintsBeforeDeadline) {
   // Threaded mode accounts wall-clock only; the virtual counters must
   // never mix into it.
   EXPECT_EQ(stats.virtual_latency_total_s, 0.0);
-}
-
-// The shared pre-extracted FeatureMatrix is immutable and read concurrently
-// by every worker thread executing batches (and by the producers' enqueue
-// path); hints must still match per-job model inference exactly. The tsan
-// CI job runs this suite, covering the shared-matrix accesses.
-TEST(PlacementService, ThreadedWorkersShareFeatureMatrix) {
-  auto& f = fixture();
-  const auto count = static_cast<std::ptrdiff_t>(
-      std::min<std::size_t>(256, f.split.test.size()));
-  const std::vector<trace::Job> jobs(f.split.test.jobs().begin(),
-                                     f.split.test.jobs().begin() + count);
-
-  PlacementServiceConfig config;
-  config.num_threads = 2;
-  config.queue_capacity = 1024;
-  config.max_batch = 32;
-  config.flush_deadline = milliseconds(1);
-  config.request_deadline = milliseconds(5000);  // generous: no misses
-  config.fallback_num_categories = f.model->num_categories();
-  config.feature_matrix =
-      features::make_feature_matrix(f.model->extractor(), jobs);
-  PlacementService service(f.registry, config);
-
-  // Two producers enqueue disjoint halves while the workers drain.
-  const std::size_t half = jobs.size() / 2;
-  std::thread first([&] {
-    for (std::size_t i = 0; i < half; ++i) service.enqueue(jobs[i]);
-  });
-  std::thread second([&] {
-    for (std::size_t i = half; i < jobs.size(); ++i) service.enqueue(jobs[i]);
-  });
-  first.join();
-  second.join();
-
-  for (const auto& job : jobs) {
-    const auto served = service.wait_for(job.job_id);
-    ASSERT_TRUE(served.has_value());
-    EXPECT_EQ(*served, f.model->predict_category(job));
-  }
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.hits, jobs.size());
-  EXPECT_EQ(stats.misses, 0u);
 }
 
 // ---------------------------------------------------------- sharded serving
@@ -791,61 +749,6 @@ TEST(VirtualTime, HintBeyondDeadlineIsLateAndDeliveredByEvent) {
   EXPECT_EQ(stats.late, 1u);
   EXPECT_EQ(stats.on_time, 0u);
   EXPECT_EQ(stats.completed, 1u);
-}
-
-TEST(VirtualTime, FlushEventComputesUnconsumedRequests) {
-  auto& f = fixture();
-  auto config = f.deterministic_config();
-  config.clock = std::make_shared<sim::SimClock>();
-  config.latency_model = make_zero_latency_model();
-  config.virtual_flush_deadline = 2.0;
-  config.drain_on_lookup = false;  // no consumer drains: the flush must
-  PlacementService service(f.registry, config);
-
-  const auto& job = f.split.test.jobs().front();
-  ASSERT_TRUE(service.enqueue(job));
-  EXPECT_FALSE(service.lookup(job.job_id).has_value());
-  // No consumer ever asks; the virtual batcher deadline flushes anyway.
-  config.clock->run_all();
-  EXPECT_DOUBLE_EQ(config.clock->now(), 2.0);
-  EXPECT_TRUE(service.lookup(job.job_id).has_value());
-  EXPECT_EQ(service.stats().completed, 1u);
-}
-
-TEST(VirtualTime, FlushEventArmsOncePerWindowAndRearms) {
-  // Regression for the flush_event_pending lock-discipline fix: the flag is
-  // read-modify-written under the shard's results mutex (BYOM_GUARDED_BY
-  // pins it at compile time under clang), and its protocol is exactly "one
-  // armed flush event per window, re-armed after the event fires".
-  auto& f = fixture();
-  auto config = f.deterministic_config();
-  config.clock = std::make_shared<sim::SimClock>();
-  config.latency_model = make_zero_latency_model();
-  config.virtual_flush_deadline = 2.0;
-  config.drain_on_lookup = false;
-  PlacementService service(f.registry, config);
-
-  const auto& jobs = f.split.test.jobs();
-  ASSERT_GE(jobs.size(), 4u);
-  // Several enqueues inside one window share ONE armed event: arming is
-  // deduped by the pending flag, not once per request.
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(service.enqueue(jobs[i])) << i;
-  EXPECT_EQ(config.clock->pending(), 1u);
-
-  config.clock->run_all();
-  EXPECT_DOUBLE_EQ(config.clock->now(), 2.0);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(service.lookup(jobs[i].job_id).has_value()) << i;
-  }
-
-  // The event handler cleared the flag before draining, so the next window
-  // arms a fresh flush instead of being swallowed by a stale pending bit.
-  ASSERT_TRUE(service.enqueue(jobs[3]));
-  EXPECT_EQ(config.clock->pending(), 1u);
-  config.clock->run_all();
-  EXPECT_DOUBLE_EQ(config.clock->now(), 4.0);
-  EXPECT_TRUE(service.lookup(jobs[3].job_id).has_value());
-  EXPECT_EQ(service.stats().completed, 4u);
 }
 
 // -------------------------------------------------- noisy cells determinism

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -157,12 +159,33 @@ TEST(Simulator, ZeroCapacityMeansFullSpill) {
 
 // ---------------------------------------------------------------- SimClock
 
+// Test trampoline: schedules closures as typed events. Each closure lives
+// in the deque (stable addresses) and the event's ctx points at it.
+class Closures {
+ public:
+  explicit Closures(SimClock& clock) : clock_(&clock) {}
+  void at(double time, std::function<void()> fn,
+          int priority = SimClock::kDefaultPriority) {
+    fns_.push_back(std::move(fn));
+    clock_->schedule_typed(time, priority, SimClock::EventKind::kRelease,
+                           &Closures::run, &fns_.back());
+  }
+
+ private:
+  static void run(void* ctx, std::uint64_t, double) {
+    (*static_cast<std::function<void()>*>(ctx))();
+  }
+  SimClock* clock_;
+  std::deque<std::function<void()>> fns_;
+};
+
 TEST(SimClock, RunsEventsInTimeOrder) {
   SimClock clock;
+  Closures events(clock);
   std::vector<int> order;
-  clock.schedule(3.0, [&] { order.push_back(3); });
-  clock.schedule(1.0, [&] { order.push_back(1); });
-  clock.schedule(2.0, [&] { order.push_back(2); });
+  events.at(3.0, [&] { order.push_back(3); });
+  events.at(1.0, [&] { order.push_back(1); });
+  events.at(2.0, [&] { order.push_back(2); });
   EXPECT_EQ(clock.run_all(), 3u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(clock.now(), 3.0);
@@ -170,22 +193,23 @@ TEST(SimClock, RunsEventsInTimeOrder) {
 
 TEST(SimClock, PriorityBreaksTiesAtEqualTimes) {
   SimClock clock;
+  Closures events(clock);
   std::vector<int> order;
-  clock.schedule(5.0, SimClock::kArrivalPriority, [&] { order.push_back(3); });
-  clock.schedule(5.0, SimClock::kHintReadyPriority,
-                 [&] { order.push_back(2); });
-  clock.schedule(5.0, SimClock::kReleasePriority, [&] { order.push_back(0); });
-  clock.schedule(5.0, SimClock::kRetrainPriority, [&] { order.push_back(1); });
+  events.at(5.0, [&] { order.push_back(3); }, SimClock::kArrivalPriority);
+  events.at(5.0, [&] { order.push_back(2); }, SimClock::kHintReadyPriority);
+  events.at(5.0, [&] { order.push_back(0); }, SimClock::kReleasePriority);
+  events.at(5.0, [&] { order.push_back(1); }, SimClock::kRetrainPriority);
   clock.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(SimClock, ScheduleOrderBreaksRemainingTies) {
   SimClock clock;
+  Closures events(clock);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    clock.schedule(1.0, SimClock::kArrivalPriority,
-                   [&order, i] { order.push_back(i); });
+    events.at(1.0, [&order, i] { order.push_back(i); },
+              SimClock::kArrivalPriority);
   }
   clock.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -193,19 +217,21 @@ TEST(SimClock, ScheduleOrderBreaksRemainingTies) {
 
 TEST(SimClock, PastEventsClampToNow) {
   SimClock clock;
+  Closures events(clock);
   clock.advance_to(10.0);
   double fired_at = -1.0;
-  clock.schedule(2.0, [&] { fired_at = clock.now(); });
+  events.at(2.0, [&] { fired_at = clock.now(); });
   clock.run_all();
   EXPECT_DOUBLE_EQ(fired_at, 10.0);  // time never moves backwards
 }
 
 TEST(SimClock, EventsMayScheduleFurtherEvents) {
   SimClock clock;
+  Closures events(clock);
   std::vector<double> times;
-  clock.schedule(1.0, [&] {
+  events.at(1.0, [&] {
     times.push_back(clock.now());
-    clock.schedule(2.0, [&] { times.push_back(clock.now()); });
+    events.at(2.0, [&] { times.push_back(clock.now()); });
   });
   EXPECT_EQ(clock.run_all(), 2u);
   EXPECT_EQ(times, (std::vector<double>{1.0, 2.0}));
@@ -214,20 +240,24 @@ TEST(SimClock, EventsMayScheduleFurtherEvents) {
 
 TEST(SimClock, RunUntilIsInclusiveAndAdvances) {
   SimClock clock;
+  Closures events(clock);
   int fired = 0;
-  clock.schedule(1.0, [&] { ++fired; });
-  clock.schedule(2.0, [&] { ++fired; });
-  clock.schedule(2.5, [&] { ++fired; });
+  events.at(1.0, [&] { ++fired; });
+  events.at(2.0, [&] { ++fired; });
+  events.at(2.5, [&] { ++fired; });
   EXPECT_EQ(clock.run_until(2.0), 2u);
   EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(clock.now(), 2.0);
   EXPECT_EQ(clock.pending(), 1u);
 }
 
-TEST(SimClock, RejectsNullEvent) {
+TEST(SimClock, RejectsNullHandler) {
   SimClock clock;
-  EXPECT_THROW(clock.schedule(0.0, SimClock::EventFn{}),
+  EXPECT_THROW(clock.schedule_typed(0.0, SimClock::kDefaultPriority,
+                                    SimClock::EventKind::kRelease, nullptr,
+                                    nullptr),
                std::invalid_argument);
+  EXPECT_EQ(clock.pending(), 0u);
 }
 
 // ------------------------------------------------- event engine regression
@@ -305,9 +335,9 @@ TEST_F(ExperimentFactoryTest, BuildsEveryMethod) {
         MethodId::kAdaptiveHash, MethodId::kAdaptiveRanking,
         MethodId::kOracleTco, MethodId::kOracleTcio, MethodId::kTrueCategory,
         MethodId::kAdaptiveServed, MethodId::kAdaptiveServedLatency}) {
-    const auto policy = factory().make(id, split().test, cap);
-    ASSERT_NE(policy, nullptr);
-    EXPECT_EQ(policy->name(), method_name(id));
+    const auto context = factory().make_context(id, split().test, cap, {});
+    ASSERT_NE(context.policy, nullptr);
+    EXPECT_EQ(context.policy->name(), method_name(id));
   }
 }
 
@@ -325,10 +355,10 @@ TEST_F(ExperimentFactoryTest, EventEngineBitIdenticalToSynchronousPath) {
         MethodId::kOracleTco, MethodId::kOracleTcio, MethodId::kTrueCategory,
         MethodId::kAdaptiveServed}) {
     SCOPED_TRACE(method_name(id));
-    const auto event_policy = factory().make(id, split().test, cap);
-    const auto sync_policy = factory().make(id, split().test, cap);
-    expect_bit_identical(simulate(split().test, *event_policy, cfg),
-                         simulate_synchronous(split().test, *sync_policy,
+    const auto event = factory().make_context(id, split().test, cap, {});
+    const auto sync = factory().make_context(id, split().test, cap, {});
+    expect_bit_identical(simulate(split().test, *event.policy, cfg),
+                         simulate_synchronous(split().test, *sync.policy,
                                               cfg));
   }
 }

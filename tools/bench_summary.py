@@ -11,8 +11,8 @@ Reads the file produced by
     bench_microbench --benchmark_out=raw.json --benchmark_out_format=json
 and writes a stable, diff-friendly summary: per-benchmark timings plus the
 derived hot-path ratios the ROADMAP tracks (event-engine overhead vs the
-synchronous simulator, typed vs pooled-callback event scheduling, in-place
-vs allocating feature extraction, sharded serving throughput scaling). The
+synchronous simulator, in-place vs allocating feature extraction, sharded
+serving throughput scaling). The
 summary is committed as BENCH_microbench.json so the perf trajectory is
 visible PR-over-PR.
 
@@ -46,13 +46,6 @@ RATIOS = [
         "denominator": "BM_SimulatorReplaySynchronous",
         "metric": "real_time",
         "better": "lower",
-    },
-    {
-        "key": "callback_vs_typed_schedule_x",
-        "numerator": "BM_EventScheduleCallback",
-        "denominator": "BM_EventScheduleTyped",
-        "metric": "real_time",
-        "better": "higher",
     },
     {
         "key": "extract_vs_extract_into_x",
