@@ -43,8 +43,10 @@ class Batcher {
   bool run_once();
 
   // Flushes everything queued at call time in arrival order, without
-  // waiting. Returns the number of requests executed. Deterministic: the
-  // result depends only on queue contents, never on timing.
+  // waiting: every pop is a zero-wait sweep that never reaches the queue's
+  // condition variable, so an empty drain() never sleeps. Returns the
+  // number of requests executed. Deterministic: the result depends only on
+  // queue contents, never on timing.
   std::size_t drain();
 
   // Flush-trigger counters (size + deadline == batches). run_once() may be

@@ -137,8 +137,14 @@ std::size_t InferenceRequestQueue::pop_batch(
     std::vector<InferenceRequest>& out, std::size_t max_batch,
     std::chrono::milliseconds wait) {
   if (max_batch == 0) return 0;
-  // lint:allow(wall-clock) threaded-consumer timeout; virtual-time mode only
-  // ever calls with wait == 0 (drain), which returns before the wait path
+  // A wait <= 0 is a pure non-blocking sweep. It must not reach the gate:
+  // a condition-variable wait on a deadline already past still sleeps for
+  // the thread's timer slack (~50 us on Linux), on every empty drain().
+  if (wait <= std::chrono::milliseconds::zero()) {
+    return sweep(out, max_batch);
+  }
+  // lint:allow(wall-clock) threaded-consumer timeout; only waits > 0 get
+  // here, and virtual-time mode only pops with wait == 0 (drain)
   const auto deadline = std::chrono::steady_clock::now() + wait;
   for (;;) {
     const std::size_t popped = sweep(out, max_batch);

@@ -46,8 +46,8 @@ struct InferenceRequest {
   // The job is copied into the request: a request may outlive the
   // submission context that created it.
   trace::Job job;
-  // lint:allow(wall-clock) threaded-mode latency accounting; never read in
-  // virtual-time mode
+  // lint:allow(wall-clock) wall-latency accounting of the threaded and plain
+  // deterministic modes; never stamped or read in virtual-time mode
   std::chrono::steady_clock::time_point enqueued_at{};
   // Virtual submission time (sim::SimClock seconds); only meaningful when
   // the owning PlacementService runs in virtual-time mode.
@@ -69,12 +69,15 @@ class InferenceRequestQueue {
   // shut down.
   bool push(InferenceRequest request);
 
-  // Pops one request, waiting up to `wait` for one to arrive. Empty optional
-  // on timeout or when the queue is shut down and drained.
+  // Pops one request, waiting up to `wait` for one to arrive (see
+  // pop_batch for wait <= 0). Empty optional on timeout or when the queue
+  // is shut down and drained.
   std::optional<InferenceRequest> pop(std::chrono::milliseconds wait);
 
   // Appends up to `max_batch` requests to `out`, waiting up to `wait` for
   // the first one. Returns the number appended (0 on timeout/shutdown).
+  // A `wait` <= 0 is a pure non-blocking sweep: it takes what is queued
+  // and never touches the wait gate or its condition variable.
   std::size_t pop_batch(std::vector<InferenceRequest>& out,
                         std::size_t max_batch, std::chrono::milliseconds wait);
 

@@ -80,11 +80,12 @@ bool PlacementService::enqueue(const trace::Job& job) {
   Shard& shard = shard_for(job);
   InferenceRequest request;
   request.job = job;
-  // lint:allow(wall-clock) threaded-mode latency accounting; virtual-time
-  // consumers read virtual_enqueued_at instead
-  request.enqueued_at = std::chrono::steady_clock::now();
   if (virtual_time()) {
     request.virtual_enqueued_at = config_.clock->now();
+  } else {
+    // lint:allow(wall-clock) wall-latency stats of the threaded and plain
+    // deterministic modes; virtual-time mode never stamps or reads it
+    request.enqueued_at = std::chrono::steady_clock::now();
   }
   if (!shard.queue.try_push(std::move(request))) {
     // atomic: relaxed — stats counter; publishes no data, only summed

@@ -188,6 +188,38 @@ TEST(Batcher, DrainFlushesEverythingWithoutWaiting) {
   EXPECT_EQ(batcher.drain(), 0u);    // nothing queued: no-op
 }
 
+// "Without waiting" measured, not assumed: a zero-wait pop on an empty
+// queue must return from its sweep, never from a condition-variable wait
+// on an already-past deadline — that wait still sleeps for the thread's
+// timer slack (~50 us on Linux), so 4,000 of them take >= 100 ms while the
+// sweep-only path takes well under 1 ms (10-20 ms in Debug sanitizer
+// builds, which the 50 ms bound leaves room for).
+TEST(Batcher, EmptyDrainAndZeroWaitPopNeverSleep) {
+  InferenceRequestQueue queue(64);
+  BatcherConfig config;
+  config.max_batch = 8;
+  std::size_t executed = 0;
+  Batcher batcher(&queue, config,
+                  [&](std::vector<InferenceRequest>&& batch) {
+                    executed += batch.size();
+                  });
+  constexpr int kCalls = 2000;
+  std::vector<InferenceRequest> out;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kCalls; ++i) {
+    EXPECT_EQ(batcher.drain(), 0u);
+    EXPECT_EQ(queue.pop_batch(out, config.max_batch, milliseconds(0)), 0u);
+  }
+  const auto elapsed_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_EQ(executed, 0u);
+  EXPECT_TRUE(out.empty());
+  EXPECT_LT(elapsed_us, 50000)
+      << kCalls << " empty drain() + zero-wait pop_batch() calls";
+}
+
 TEST(Batcher, RunOnceReturnsFalseOnceShutDownAndDrained) {
   InferenceRequestQueue queue(8);
   BatcherConfig config;

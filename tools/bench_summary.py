@@ -12,7 +12,7 @@ Reads the file produced by
 and writes a stable, diff-friendly summary: per-benchmark timings plus the
 derived hot-path ratios the ROADMAP tracks (event-engine overhead vs the
 synchronous simulator, in-place vs allocating feature extraction, sharded
-serving throughput scaling). The
+serving throughput scaling, served-replay wall over CPU time). The
 summary is committed as BENCH_microbench.json so the perf trajectory is
 visible PR-over-PR.
 
@@ -35,7 +35,10 @@ import json
 import sys
 
 # Derived hot-path ratios: numerator / denominator of the named benchmark
-# metric. `better` gives the ratio's good direction for the regression gate:
+# metric ("real_time", "cpu_time" or a counter). A ratio may read a different
+# metric per side via "numerator_metric" / "denominator_metric" (default:
+# "metric"). `better` gives the ratio's good direction for the regression
+# gate:
 #   "lower"  — the ratio is an overhead factor (our path is the numerator);
 #   "higher" — the ratio is a speedup factor (our path is the denominator
 #              or the numerator measures throughput).
@@ -93,6 +96,19 @@ RATIOS = [
         "metric": "items_per_second",
         "better": "higher",
     },
+    {
+        # Wall over CPU time of the served-latency replay (virtual-time
+        # serving, one thread): ~1.0 when the placement path never blocks.
+        # A sleep on the path, such as a zero-wait queue pop that reaches
+        # the condition variable (timer slack on every lookup miss), reads
+        # ~3.
+        "key": "served_replay_wall_over_cpu_x",
+        "numerator": "BM_SimulatorReplayServedLatency",
+        "denominator": "BM_SimulatorReplayServedLatency",
+        "numerator_metric": "real_time",
+        "denominator_metric": "cpu_time",
+        "better": "lower",
+    },
 ]
 
 # Derived ratios computed from bench_soak JSON summaries (--soak) rather
@@ -110,6 +126,9 @@ SOAK_RATIOS = {"soak_peak_rss_ratio": "lower"}
 ABSOLUTE_BOUNDS = {
     # PR-10 acceptance: streaming replay within 1.10x of materialized.
     "stream_vs_materialized_overhead_x": ("max", 1.10),
+    # The served replay is single-threaded and must not sleep: off-CPU time
+    # beyond 30% of its CPU time means a blocking wait is back on the path.
+    "served_replay_wall_over_cpu_x": ("max", 1.3),
     # Streamed peak RSS must stay well under materialized on the long-horizon
     # soak. The committed dev-host number is ~0.09 (>= 10x reduction at a
     # 20x horizon); the bound leaves room for runner base-RSS differences
@@ -136,8 +155,8 @@ def time_ns(run, field):
 
 def metric_value(run, metric):
     """A ratio ingredient: normalized time or a rate-style counter."""
-    if metric == "real_time":
-        return time_ns(run, "real_time")
+    if metric in ("real_time", "cpu_time"):
+        return time_ns(run, metric)
     return float(run.get(metric, 0.0))
 
 
@@ -173,8 +192,12 @@ def summarize(report, notes):
     derived = {}
     for ratio in RATIOS:
         if ratio["numerator"] in runs and ratio["denominator"] in runs:
-            num = metric_value(runs[ratio["numerator"]], ratio["metric"])
-            den = metric_value(runs[ratio["denominator"]], ratio["metric"])
+            num = metric_value(
+                runs[ratio["numerator"]],
+                ratio.get("numerator_metric", ratio.get("metric")))
+            den = metric_value(
+                runs[ratio["denominator"]],
+                ratio.get("denominator_metric", ratio.get("metric")))
             if den > 0.0:
                 derived[ratio["key"]] = round(num / den, 3)
 
