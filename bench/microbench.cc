@@ -442,6 +442,27 @@ void BM_InferenceCompiledPerJob(benchmark::State& state) {
 }
 BENCHMARK(BM_InferenceCompiledPerJob);
 
+// The same single rows through the batch entry point: a one-row strided
+// block, the shape of every served hint (scores_batch via predict_batch).
+// Read against BM_InferenceCompiledPerJob: a one-row block should cost one
+// serial walk, not a pass of the 64-row blocked kernel.
+void BM_InferenceCompiledOneRowBlock(benchmark::State& state) {
+  const auto& classifier =
+      fixture().cluster.factory->category_model().classifier();
+  const auto& matrix = inference_matrix();
+  const auto k = static_cast<std::size_t>(classifier.num_classes());
+  std::vector<double> scores(k);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    classifier.scores_batch(matrix.row(i), matrix.row_stride(), 1,
+                            scores.data());
+    benchmark::DoNotOptimize(scores.data());
+    i = (i + 1) % matrix.num_rows();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_InferenceCompiledOneRowBlock);
+
 // ---- serving loop: served-hint round trip vs batcher max_batch ----------
 //
 // Full enqueue -> queue -> batcher -> predict_batch -> publish -> lookup

@@ -56,13 +56,16 @@ CategoryHints precompute_categories(const ModelRegistry& registry,
     std::vector<std::size_t> indices;
   };
   std::unordered_map<const ModelBackend*, Group> groups;
-  const auto fallback = make_hash_provider(fallback_num_categories);
+  // Built on the first job without a backend: a served one-job batch
+  // routed to a model never pays for it.
+  CategoryProviderPtr fallback;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (ModelBackendPtr backend = registry.lookup(jobs[i])) {
       Group& group = groups[backend.get()];
       if (!group.backend) group.backend = std::move(backend);
       group.indices.push_back(i);
     } else {
+      if (!fallback) fallback = make_hash_provider(fallback_num_categories);
       hints.emplace(jobs[i].job_id, fallback->category(jobs[i]).value_or(0));
     }
   }

@@ -151,9 +151,14 @@ void FlatForest::score_into(const float* row, double* out) const {
 // always in bounds), so the level loop runs a fixed depth_[j] trips with
 // no data-dependent branch — 64 independent walks per stream instead of
 // one serial pointer chase. Per-accumulator addition order equals the
-// node-block reference, so scores are bit-identical.
+// node-block reference, so scores are bit-identical. A single row takes
+// the serial walk instead (same bits; see flat_forest.h for why).
 void FlatForest::score_strided(const float* base, std::size_t row_stride,
                                std::size_t n, double* out) const {
+  if (n == 1) {
+    score_into(base, out);
+    return;
+  }
   const auto k = static_cast<std::size_t>(num_classes_);
   std::fill(out, out + n * k, base_score_);
   const float* const thr = threshold_.data();
@@ -200,9 +205,13 @@ void FlatForest::score_strided(const float* base, std::size_t row_stride,
 
 // hotpath: compiled blocked batch scoring over caller-staged row pointers
 // (the non-contiguous fallback); same blocking, level-stepping, and
-// accumulation order as score_strided.
+// accumulation order as score_strided, and the same single-row dispatch.
 void FlatForest::score_rows(const float* const* rows, std::size_t n,
                             double* out) const {
+  if (n == 1) {
+    score_into(rows[0], out);
+    return;
+  }
   const auto k = static_cast<std::size_t>(num_classes_);
   std::fill(out, out + n * k, base_score_);
   const float* const thr = threshold_.data();

@@ -326,22 +326,24 @@ void PlacementService::execute_batch(Shard& shard,
   // One registry-grouped predict_batch pass — the exact code path offline
   // precomputation uses, which is what makes served hints bit-identical to
   // offline-batched hints (per-job results are independent of batch
-  // composition, so shard/stripe interleaving cannot change them).
+  // composition, so shard/stripe interleaving cannot change them). The
+  // batch is consumed here, so its jobs move out instead of being copied;
+  // jobs[i] is batch[i]'s job from here on.
   std::vector<trace::Job> jobs;
   jobs.reserve(batch.size());
-  for (const auto& request : batch) jobs.push_back(request.job);
+  for (auto& request : batch) jobs.push_back(std::move(request.job));
   const core::CategoryHints hints = core::precompute_categories(
       *registry_, jobs, config_.fallback_num_categories);
 
   if (virtual_time()) {
     const double now = config_.clock->now();
-    for (const auto& request : batch) {
-      const std::uint64_t job_id = request.job.job_id;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const std::uint64_t job_id = jobs[i].job_id;
       const double latency =
           config_.latency_model
-              ? config_.latency_model->latency_seconds(request.job)
+              ? config_.latency_model->latency_seconds(jobs[i])
               : 0.0;
-      const double ready = request.virtual_enqueued_at + latency;
+      const double ready = batch[i].virtual_enqueued_at + latency;
       if (ready <= now) {
         publish_virtual(shard, job_id, hints.at(job_id), latency);
         continue;
@@ -368,18 +370,15 @@ void PlacementService::execute_batch(Shard& shard,
   const auto now = std::chrono::steady_clock::now();
   {
     common::MutexLock lock(shard.results_mutex);
-    for (const auto& request : batch) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
       // First publication wins; a duplicate request for an already-served
       // job completes without recounting stats.
-      if (!shard.results
-               .emplace(request.job.job_id, hints.at(request.job.job_id))
-               .second) {
-        continue;
-      }
+      const std::uint64_t job_id = jobs[i].job_id;
+      if (!shard.results.emplace(job_id, hints.at(job_id)).second) continue;
       ++shard.completed;
-      const double latency_ms =
-          std::chrono::duration<double, std::milli>(now - request.enqueued_at)
-              .count();
+      const double latency_ms = std::chrono::duration<double, std::milli>(
+                                    now - batch[i].enqueued_at)
+                                    .count();
       shard.wall_latency_total_ms += latency_ms;
       shard.wall_latency_max_ms =
           std::max(shard.wall_latency_max_ms, latency_ms);

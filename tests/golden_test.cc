@@ -8,22 +8,31 @@
 // offline-served chains over a per-pipeline bring-your-own-model fleet, and
 // the served-latency cell with real latency and daily retrains.
 //
+// A second file, tests/golden/gbdt_score_digests.txt, pins the raw score
+// bits of the cells' GBDT model over a fixed row set, through both compiled
+// batch entry points (strided block and row pointers) at batch sizes
+// around the kernel's 64-row block, single rows included.
+//
 // On a mismatch the test prints the actual digest in the file's format.
 // There is no regeneration switch: updating a digest means editing the
 // committed file, in a change that argues why the results moved.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/model_backend.h"
+#include "features/feature_matrix.h"
 #include "harness/experiment.h"
+#include "ml/gbdt.h"
 #include "sim/simulator.h"
 #include "trace/generator.h"
 #include "trace/trace.h"
@@ -79,10 +88,10 @@ std::string hex(std::uint64_t value) {
 }
 
 // `name digest` per line; '#' starts a comment line.
-std::map<std::string, std::string> load_digests() {
+std::map<std::string, std::string> load_digests(const std::string& file) {
   const std::string source = __FILE__;
   const std::string path =
-      source.substr(0, source.find_last_of('/')) + "/golden/sim_digests.txt";
+      source.substr(0, source.find_last_of('/')) + "/golden/" + file;
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << "cannot open " << path;
   std::map<std::string, std::string> digests;
@@ -121,8 +130,24 @@ class GoldenDigestTest : public ::testing::Test {
     return f;
   }
   static const std::map<std::string, std::string>& golden() {
-    static const std::map<std::string, std::string> digests = load_digests();
+    static const std::map<std::string, std::string> digests =
+        load_digests("sim_digests.txt");
     return digests;
+  }
+  static const std::map<std::string, std::string>& gbdt_golden() {
+    static const std::map<std::string, std::string> digests =
+        load_digests("gbdt_score_digests.txt");
+    return digests;
+  }
+
+  static void expect_line(const std::map<std::string, std::string>& digests,
+                          const std::string& name, std::uint64_t value) {
+    const std::string actual = hex(value);
+    const auto it = digests.find(name);
+    const std::string expected = it == digests.end() ? "<missing>"
+                                                     : it->second;
+    EXPECT_EQ(actual, expected) << "actual digest line:\n"
+                                << name << " " << actual;
   }
 
   static void expect_digest(const std::string& name, MethodId id,
@@ -132,12 +157,7 @@ class GoldenDigestTest : public ::testing::Test {
     const SimResult r = run_method(factory(), id, split().test, cap, options,
                                    /*record_outcomes=*/true);
     ASSERT_EQ(r.outcomes.size(), split().test.size());
-    const std::string actual = hex(digest(r));
-    const auto it = golden().find(name);
-    const std::string expected = it == golden().end() ? "<missing>"
-                                                      : it->second;
-    EXPECT_EQ(actual, expected) << "actual digest line:\n"
-                                << name << " " << actual;
+    expect_line(golden(), name, digest(r));
   }
 
   // GBDT, logistic and frequency backends assigned round-robin over the
@@ -184,6 +204,45 @@ TEST_F(GoldenDigestTest, ServedLatencyWithDailyRetrain) {
   options.noise_seed = 2025;
   expect_digest("AdaptiveServedLatency/latency0.5-retrain1d",
                 MethodId::kAdaptiveServedLatency, options);
+}
+
+// The factory's GBDT model scores every row of the test split's feature
+// matrix in consecutive batches of n rows. Scores do not depend on batch
+// composition, so all lines carry one digest; a line per (path, n) still
+// pins each block-boundary case, n == 1 included, on its own.
+TEST_F(GoldenDigestTest, GbdtScoreBitsAcrossBatchSizes) {
+  const core::CategoryModel& model = factory().category_model();
+  const ml::GbdtClassifier& classifier = model.classifier();
+  const features::FeatureMatrix matrix(model.extractor(), split().test.jobs());
+  const std::size_t rows = matrix.num_rows();
+  const auto k = static_cast<std::size_t>(classifier.num_classes());
+  std::vector<const float*> pointers(rows);
+  for (std::size_t r = 0; r < rows; ++r) pointers[r] = matrix.row(r);
+
+  std::vector<double> scores(rows * k);
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 130u}) {
+    for (const bool strided : {true, false}) {
+      std::fill(scores.begin(), scores.end(),
+                std::numeric_limits<double>::quiet_NaN());
+      for (std::size_t r0 = 0; r0 < rows; r0 += n) {
+        const std::size_t m = std::min(n, rows - r0);
+        double* out = scores.data() + r0 * k;
+        if (strided) {
+          classifier.scores_batch(matrix.row(r0), matrix.row_stride(), m,
+                                  out);
+        } else {
+          classifier.scores_batch(pointers.data() + r0, m, out);
+        }
+      }
+      Fnv1a h;
+      h.add(static_cast<std::uint64_t>(rows));
+      h.add(static_cast<std::uint64_t>(k));
+      for (const double score : scores) h.add(score);
+      expect_line(gbdt_golden(),
+                  (strided ? "strided/n" : "rows/n") + std::to_string(n),
+                  h.value());
+    }
+  }
 }
 
 }  // namespace

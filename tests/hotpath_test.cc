@@ -157,6 +157,11 @@ TEST(AllocationGuard, CompiledBatchScoringIsAllocationFreeInSteadyState) {
     classifier.scores_batch(matrix.data(), matrix.row_stride(),
                             matrix.num_rows(), scores.data());
   }
+  // One-row blocks, the served-hint shape (dispatched to the serial walk).
+  for (std::size_t r = 0; r < matrix.num_rows(); ++r) {
+    classifier.scores_batch(matrix.row(r), matrix.row_stride(), 1,
+                            scores.data());
+  }
   EXPECT_EQ(allocations(), before)
       << "compiled batch scoring allocated in steady state";
 }

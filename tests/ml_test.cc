@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -361,16 +362,36 @@ TEST(FlatForest, CompiledScoresBitIdenticalToNodeBlock) {
   std::vector<const float*> rows(data.num_rows());
   for (std::size_t r = 0; r < data.num_rows(); ++r) rows[r] = data.row(r);
 
+  // The same rows packed into a padded block (stride wider than the row)
+  // for the strided entry point.
+  const std::size_t width = data.num_features();
+  const std::size_t stride = width + 3;
+  std::vector<float> block(rows.size() * stride, -99.0f);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    std::copy(rows[r], rows[r] + width, block.data() + r * stride);
+  }
+
   // Edge batch sizes around the kernel's row-block boundary (64): empty,
-  // single row, one-off-the-block, exact block, block+1, two-blocks+2.
+  // single row (the serial-walk dispatch), one-off-the-block, exact block,
+  // block+1, two-blocks+2 — on both batch entry points.
   for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 130u}) {
     ASSERT_LE(n, rows.size());
     std::vector<double> compiled(n * 3, -1.0);
     std::vector<double> reference(n * 3, -2.0);
+    std::vector<double> strided(n * 3, -3.0);
     model.scores_batch(rows.data(), n, compiled.data());
     model.scores_batch_nodeblock(rows.data(), n, reference.data());
+    model.scores_batch(block.data(), stride, n, strided.data());
     for (std::size_t i = 0; i < n * 3; ++i) {
       EXPECT_EQ(compiled[i], reference[i]) << "n=" << n << " i=" << i;
+      EXPECT_EQ(strided[i], reference[i]) << "n=" << n << " i=" << i;
+    }
+    double single[3];
+    for (std::size_t r = 0; r < n; ++r) {
+      model.scores_into(rows[r], single);
+      for (std::size_t k = 0; k < 3; ++k) {
+        EXPECT_EQ(strided[r * 3 + k], single[k]) << "n=" << n << " r=" << r;
+      }
     }
     const auto classes = model.predict_batch(rows.data(), n);
     ASSERT_EQ(classes.size(), n);

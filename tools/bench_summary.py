@@ -12,9 +12,9 @@ Reads the file produced by
 and writes a stable, diff-friendly summary: per-benchmark timings plus the
 derived hot-path ratios the ROADMAP tracks (event-engine overhead vs the
 synchronous simulator, in-place vs allocating feature extraction, sharded
-serving throughput scaling, served-replay wall over CPU time). The
-summary is committed as BENCH_microbench.json so the perf trajectory is
-visible PR-over-PR.
+serving throughput scaling, served-replay wall over CPU time, one-row batch
+over single-row scoring). The summary is committed as BENCH_microbench.json
+so the perf trajectory is visible PR-over-PR.
 
 --compare turns the script into the CI regression gate: the fresh summary's
 derived ratios are diffed against the committed baseline and a ratio that
@@ -109,6 +109,17 @@ RATIOS = [
         "denominator_metric": "cpu_time",
         "better": "lower",
     },
+    {
+        # A one-row batch through the compiled batch entry point over the
+        # serial single-row walk, on the same rows. Every served hint is a
+        # one-row batch; ~1.0 when n == 1 takes the serial walk, ~2.6 when
+        # it runs the 64-row blocked kernel.
+        "key": "one_row_block_over_per_job_x",
+        "numerator": "BM_InferenceCompiledOneRowBlock",
+        "denominator": "BM_InferenceCompiledPerJob",
+        "metric": "real_time",
+        "better": "lower",
+    },
 ]
 
 # Derived ratios computed from bench_soak JSON summaries (--soak) rather
@@ -129,6 +140,8 @@ ABSOLUTE_BOUNDS = {
     # The served replay is single-threaded and must not sleep: off-CPU time
     # beyond 30% of its CPU time means a blocking wait is back on the path.
     "served_replay_wall_over_cpu_x": ("max", 1.3),
+    # A served one-row batch must cost about one serial forest walk.
+    "one_row_block_over_per_job_x": ("max", 1.3),
     # Streamed peak RSS must stay well under materialized on the long-horizon
     # soak. The committed dev-host number is ~0.09 (>= 10x reduction at a
     # 20x horizon); the bound leaves room for runner base-RSS differences
