@@ -346,7 +346,7 @@ PolicyContext MethodFactory::served_latency_context(
   context.registry = make_registry(options);
 
   serving::PlacementServiceConfig config;
-  config.num_threads = 0;  // virtual-time mode is deterministic mode
+  config.num_threads = 0;  // inline mode, timed by the cell's clock
   config.queue_capacity = queue_capacity;
   config.max_batch = 256;
   config.fallback_num_categories = adaptive.num_categories;
@@ -442,14 +442,14 @@ StreamingCell MethodFactory::make_streaming_cell(
       return cell;
     }
     case MethodId::kAdaptiveServed: {
-      // The online serving loop in deterministic single-thread mode, fed
-      // window by window: open_window enqueues each window's requests, and
-      // the policy consumes hints through the served provider. The service
-      // extracts features per job; the queue is sized so a full window
-      // always fits.
+      // The online serving loop inline without a clock (every hint ready
+      // when looked up), fed window by window: open_window enqueues each
+      // window's requests, and the policy consumes hints through the
+      // served provider. The service extracts features per job; the queue
+      // is sized so a full window always fits.
       auto registry = make_registry(options);
       serving::PlacementServiceConfig config;
-      config.num_threads = 0;  // deterministic mode
+      config.num_threads = 0;  // inline mode
       config.queue_capacity = queue_capacity;
       config.max_batch = 256;
       config.fallback_num_categories = adaptive.num_categories;

@@ -7,12 +7,12 @@
 //   OracleTCO, OracleTCIO — plus TrueCategory (Figure 11's perfect-model
 //   variant of AdaptiveRanking), AdaptiveServed (AdaptiveRanking whose
 //   hints flow through the online serving loop, serving/placement_service.h,
-//   in deterministic mode: offline-batched vs online-served comparisons),
-//   and AdaptiveServedLatency (the serving loop in virtual-time mode on the
-//   simulator's SimClock: hints race decisions under a pluggable
-//   LatencyModel, late hints degrade to the hash fallback, and an optional
-//   StalenessSchedule replays the paper's section-6 retraining-cadence
-//   dynamics).
+//   inline without a clock, so every hint is ready when looked up:
+//   offline-batched vs online-served comparisons), and
+//   AdaptiveServedLatency (the same inline loop on the simulator's
+//   SimClock: hints race decisions under a pluggable LatencyModel, late
+//   hints degrade to the hash fallback, and an optional StalenessSchedule
+//   replays the paper's section-6 retraining-cadence dynamics).
 //
 // One builder: MethodFactory::make_streaming_cell is the only place a
 // cell's policy and provider chain are built. make_context is the

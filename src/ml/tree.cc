@@ -7,6 +7,7 @@
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 namespace byom::ml {
 
@@ -193,6 +194,19 @@ RegressionTree RegressionTree::load(std::istream& in) {
     in >> n.leaf >> n.feature >> n.threshold >> n.left >> n.right >> n.value;
   }
   if (!in) throw std::runtime_error("RegressionTree::load: malformed input");
+  // fit() emits every child after its parent, so a child index outside
+  // (i, count) is corrupt and would send a walk out of bounds or into a
+  // cycle.
+  const long long n = static_cast<long long>(count);
+  for (long long i = 0; i < n; ++i) {
+    const Node& node = tree.nodes_[static_cast<std::size_t>(i)];
+    if (node.leaf) continue;
+    if (node.feature < 0 || node.left <= i || node.left >= n ||
+        node.right <= i || node.right >= n) {
+      throw std::runtime_error(
+          "RegressionTree::load: bad split at node " + std::to_string(i));
+    }
+  }
   return tree;
 }
 

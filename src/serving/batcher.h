@@ -8,10 +8,11 @@
 //   * deadline: `flush_deadline` elapsed since the first request of the
 //               batch arrived (bounds hint latency under light load).
 //
-// run_once() is the unit of a worker-thread loop; drain() is the
-// deterministic single-thread path (no waiting, everything queued right now
-// is flushed in arrival order), used by tests and by simulation cells that
-// must stay bit-reproducible inside a parallel sweep.
+// run_once() is the unit of a worker-thread loop; drain() is the inline
+// path (no waiting, everything queued right now is flushed in arrival
+// order) that a PlacementService with num_threads == 0 runs at lookup time,
+// in virtual time, so simulation cells stay bit-reproducible inside a
+// parallel sweep.
 #pragma once
 
 #include <atomic>

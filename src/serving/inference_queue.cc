@@ -144,7 +144,7 @@ std::size_t InferenceRequestQueue::pop_batch(
     return sweep(out, max_batch);
   }
   // lint:allow(wall-clock) threaded-consumer timeout; only waits > 0 get
-  // here, and virtual-time mode only pops with wait == 0 (drain)
+  // here, and inline mode only pops with wait == 0 (drain)
   const auto deadline = std::chrono::steady_clock::now() + wait;
   for (;;) {
     const std::size_t popped = sweep(out, max_batch);

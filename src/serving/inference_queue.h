@@ -46,11 +46,11 @@ struct InferenceRequest {
   // The job is copied into the request: a request may outlive the
   // submission context that created it.
   trace::Job job;
-  // lint:allow(wall-clock) wall-latency accounting of the threaded and plain
-  // deterministic modes; never stamped or read in virtual-time mode
+  // lint:allow(wall-clock) wall-latency accounting of the threaded mode;
+  // never stamped or read in inline mode
   std::chrono::steady_clock::time_point enqueued_at{};
-  // Virtual submission time (sim::SimClock seconds); only meaningful when
-  // the owning PlacementService runs in virtual-time mode.
+  // Virtual submission time (sim::SimClock seconds, 0 without a clock);
+  // only meaningful when the owning PlacementService runs inline.
   double virtual_enqueued_at = 0.0;
 };
 

@@ -1,6 +1,6 @@
 // LatencyModel — pluggable virtual-time serving latency.
 //
-// In virtual-time mode the PlacementService charges each inference request a
+// With a clock, the inline PlacementService charges each inference request a
 // latency drawn from one of these models instead of measuring wall time: the
 // hint for a job enqueued at virtual time t becomes ready at
 // t + latency_seconds(job). The latency covers the whole serving path —

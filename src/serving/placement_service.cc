@@ -19,15 +19,20 @@ PlacementServiceConfig resolve_config(PlacementServiceConfig config) {
   if (config.fallback_num_categories < 2) {
     throw std::invalid_argument("PlacementService: fallback N >= 2 required");
   }
+  if (config.latency_model && !config.clock) {
+    throw std::invalid_argument(
+        "PlacementService: a latency model requires a clock (a future-ready "
+        "hint is scheduled on it)");
+  }
   if (config.clock) {
     if (config.num_threads != 0) {
       throw std::invalid_argument(
-          "PlacementService: virtual-time mode requires num_threads == 0");
+          "PlacementService: a clock requires num_threads == 0");
     }
     if (config.num_shards != 1) {
       throw std::invalid_argument(
-          "PlacementService: virtual-time mode requires num_shards == 1 "
-          "(simulation cells stay on the single-lane path)");
+          "PlacementService: a clock requires num_shards == 1 (simulation "
+          "cells stay on the single-lane path)");
     }
   }
   return config;
@@ -80,11 +85,11 @@ bool PlacementService::enqueue(const trace::Job& job) {
   Shard& shard = shard_for(job);
   InferenceRequest request;
   request.job = job;
-  if (virtual_time()) {
-    request.virtual_enqueued_at = config_.clock->now();
+  if (deterministic()) {
+    request.virtual_enqueued_at = virtual_now();
   } else {
-    // lint:allow(wall-clock) wall-latency stats of the threaded and plain
-    // deterministic modes; virtual-time mode never stamps or reads it
+    // lint:allow(wall-clock) wall-latency stats of the threaded mode; the
+    // inline mode never stamps or reads it
     request.enqueued_at = std::chrono::steady_clock::now();
   }
   if (!shard.queue.try_push(std::move(request))) {
@@ -108,94 +113,72 @@ std::size_t PlacementService::enqueue_all(
   return accepted;
 }
 
+std::optional<int> PlacementService::published(const Shard& shard,
+                                                std::uint64_t job_id) {
+  common::MutexLock lock(shard.results_mutex);
+  const auto it = shard.results.find(job_id);
+  if (it == shard.results.end()) return std::nullopt;
+  return it->second;
+}
+
 std::optional<int> PlacementService::lookup(std::uint64_t job_id) const {
   for (const auto& shard : shards_) {
-    common::MutexLock lock(shard->results_mutex);
-    const auto it = shard->results.find(job_id);
-    if (it != shard->results.end()) return it->second;
+    if (auto hint = published(*shard, job_id)) return hint;
   }
   return std::nullopt;
 }
 
-std::optional<int> PlacementService::wait_for_virtual(std::uint64_t job_id) {
-  Shard& shard = *shards_.front();  // virtual-time mode is single-shard
-  const double now = config_.clock->now();
-  auto hint = lookup(job_id);
+std::optional<int> PlacementService::wait_for_inline(Shard& shard,
+                                                     std::uint64_t job_id) {
+  const double now = virtual_now();
+  auto hint = published(shard, job_id);
   if (!hint) {
-    // Compute everything queued so far; results land in the published table
-    // (ready now) or the in-flight table (ready in the future).
+    // Compute everything queued on this shard so far; results land in the
+    // published table (ready now) or the in-flight table (ready later).
     shard.batcher.drain();
-    hint = lookup(job_id);
+    hint = published(shard, job_id);
   }
-  if (hint) {
-    // Ready at or before the lookup: consumed on time.
-    // atomic: relaxed — stats counters; publish no data, only summed by
-    // stats()
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
-    shard.on_time.fetch_add(1, std::memory_order_relaxed);
-    return hint;
-  }
-  {
-    common::MutexLock lock(shard.results_mutex);
-    const auto it = shard.in_flight.find(job_id);
-    if (it != shard.in_flight.end()) {
-      if (it->second.ready_time <= now + config_.virtual_request_deadline) {
-        // The consumer's wait budget covers the remaining latency: consume
-        // the hint "mid-wait". The scheduled hint-ready event finds it
-        // already published and does nothing.
-        const InFlightHint ready = it->second;
-        shard.in_flight.erase(it);
-        shard.results.emplace(job_id, ready.category);
-        ++shard.completed;
-        shard.virtual_latency_total_s += ready.virtual_latency;
-        shard.virtual_latency_max_s =
-            std::max(shard.virtual_latency_max_s, ready.virtual_latency);
-        // atomic: relaxed — stats counters; publish no data, only
-        // summed by stats()
-        shard.hits.fetch_add(1, std::memory_order_relaxed);
-        shard.on_time.fetch_add(1, std::memory_order_relaxed);
-        return ready.category;
-      }
-      // The hint cannot make the deadline: Algorithm 1 falls back now; the
-      // hint-ready event will deliver (and count) it late.
-      it->second.missed = true;
-    }
-  }
-  // atomic: relaxed — stats counter; publishes no data, only summed
-  // by stats()
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
-}
-
-std::optional<int> PlacementService::wait_for_on(Shard& shard,
-                                                 std::uint64_t job_id) {
-  if (deterministic()) {
-    std::optional<int> hint;
+  if (!hint) {
+    std::optional<InFlightHint> ready;
     {
       common::MutexLock lock(shard.results_mutex);
-      const auto it = shard.results.find(job_id);
-      if (it != shard.results.end()) hint = it->second;
+      const auto it = shard.in_flight.find(job_id);
+      if (it != shard.in_flight.end()) {
+        if (it->second.ready_time <= now + config_.virtual_request_deadline) {
+          // The consumer's wait budget covers the remaining latency:
+          // consume the hint "mid-wait". The scheduled hint-ready event
+          // finds it gone and does nothing.
+          ready = it->second;
+          shard.in_flight.erase(it);
+        } else {
+          // The hint cannot make the deadline: Algorithm 1 falls back now;
+          // the hint-ready event will deliver (and count) it late.
+          it->second.missed = true;
+        }
+      }
     }
-    if (!hint) {
-      // Process everything queued on this shard on this thread: the "every
-      // request meets its deadline" regime, with no timing dependence.
-      shard.batcher.drain();
-      common::MutexLock lock(shard.results_mutex);
-      const auto it = shard.results.find(job_id);
-      if (it != shard.results.end()) hint = it->second;
+    if (ready) {
+      publish_virtual(shard, job_id, ready->category, ready->virtual_latency);
+      hint = ready->category;
     }
-    if (hint) {
-      // atomic: relaxed — stats counter; only summed by stats()
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // atomic: relaxed — stats counter; only summed by stats()
-      shard.misses.fetch_add(1, std::memory_order_relaxed);
-    }
-    return hint;
   }
+  if (!hint) {
+    // atomic: relaxed — stats counter; publishes no data, only summed
+    // by stats()
+    shard.misses.fetch_add(1, std::memory_order_relaxed);
+    return std::nullopt;
+  }
+  // atomic: relaxed — stats counters; publish no data, only summed by
+  // stats()
+  shard.hits.fetch_add(1, std::memory_order_relaxed);
+  shard.on_time.fetch_add(1, std::memory_order_relaxed);
+  return hint;
+}
 
-  // lint:allow(wall-clock) threaded-mode consumer deadline; virtual-time
-  // lookups go through wait_for_virtual instead
+std::optional<int> PlacementService::wait_for_threaded(Shard& shard,
+                                                       std::uint64_t job_id) {
+  // lint:allow(wall-clock) threaded-mode consumer deadline; inline lookups
+  // go through wait_for_inline instead
   const auto deadline =
       std::chrono::steady_clock::now() + config_.request_deadline;
   common::MutexLock lock(shard.results_mutex);
@@ -223,69 +206,9 @@ std::optional<int> PlacementService::wait_for_on(Shard& shard,
 }
 
 std::optional<int> PlacementService::wait_for(const trace::Job& job) {
-  if (virtual_time()) {
-    return wait_for_virtual(job.job_id);
-  }
-  return wait_for_on(shard_for(job), job.job_id);
-}
-
-std::optional<int> PlacementService::wait_for(std::uint64_t job_id) {
-  if (virtual_time()) {
-    return wait_for_virtual(job_id);
-  }
-  if (shards_.size() == 1) {
-    return wait_for_on(*shards_.front(), job_id);
-  }
-
-  // Id-only lookups cannot route by job key. Deterministic mode drains
-  // every shard and scans; threaded mode polls the tables until the
-  // deadline. Both attribute the hit to the owning shard (the miss to
-  // shard 0) so aggregates stay exact.
-  const auto scan = [&]() -> Shard* {
-    // Self-contained locking: the lambda acquires each shard's capability
-    // itself, so the analysis checks its body independently.
-    for (const auto& shard : shards_) {
-      common::MutexLock lock(shard->results_mutex);
-      if (shard->results.count(job_id)) return shard.get();
-    }
-    return nullptr;
-  };
-
-  if (deterministic()) {
-    Shard* owner = scan();
-    if (!owner) {
-      for (const auto& shard : shards_) shard->batcher.drain();
-      owner = scan();
-    }
-    if (owner) {
-      // atomic: relaxed — stats counter; only summed by stats()
-      owner->hits.fetch_add(1, std::memory_order_relaxed);
-      common::MutexLock lock(owner->results_mutex);
-      return owner->results.at(job_id);
-    }
-    // atomic: relaxed — stats counter; only summed by stats()
-    shards_.front()->misses.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-
-  // lint:allow(wall-clock) threaded-mode poll deadline (id-only slow path)
-  const auto deadline =
-      std::chrono::steady_clock::now() + config_.request_deadline;
-  for (;;) {
-    if (Shard* owner = scan()) {
-      // atomic: relaxed — stats counter; only summed by stats()
-      owner->hits.fetch_add(1, std::memory_order_relaxed);
-      common::MutexLock lock(owner->results_mutex);
-      return owner->results.at(job_id);
-    }
-    // lint:allow(wall-clock) threaded-mode poll loop, see above
-    if (std::chrono::steady_clock::now() >= deadline) break;
-    // lint:allow(wall-clock) threaded-mode poll backoff, see above
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // atomic: relaxed — stats counter; only summed by stats()
-  shards_.front()->misses.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
+  Shard& shard = shard_for(job);
+  return deterministic() ? wait_for_inline(shard, job.job_id)
+                         : wait_for_threaded(shard, job.job_id);
 }
 
 void PlacementService::publish_virtual(Shard& shard, std::uint64_t job_id,
@@ -335,8 +258,11 @@ void PlacementService::execute_batch(Shard& shard,
   const core::CategoryHints hints = core::precompute_categories(
       *registry_, jobs, config_.fallback_num_categories);
 
-  if (virtual_time()) {
-    const double now = config_.clock->now();
+  if (deterministic()) {
+    // A hint ready by now is published; a later one (only possible with a
+    // clock, which any latency model requires) goes in flight until its
+    // hint-ready event.
+    const double now = virtual_now();
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const std::uint64_t job_id = jobs[i].job_id;
       const double latency =
@@ -365,8 +291,8 @@ void PlacementService::execute_batch(Shard& shard,
     return;
   }
 
-  // lint:allow(wall-clock) threaded-mode publish timestamp; the virtual
-  // path above uses the injected clock
+  // lint:allow(wall-clock) threaded-mode publish timestamp; the inline
+  // path above uses virtual time
   const auto now = std::chrono::steady_clock::now();
   {
     common::MutexLock lock(shard.results_mutex);
@@ -400,8 +326,8 @@ void PlacementService::shutdown() {
       if (worker.joinable()) worker.join();
     }
     // With workers the shard queue must be fully drained once they exited
-    // (run_once returns false only on shut-down-and-drained). Deterministic
-    // mode has no workers; its queues drain at lookup time.
+    // (run_once returns false only on shut-down-and-drained). Inline mode
+    // has no workers; its queues drain at lookup time.
     assert(shard->workers.empty() || shard->queue.size() == 0);
   }
 }

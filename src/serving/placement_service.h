@@ -26,26 +26,24 @@
 // shards with relaxed atomic reads; ServingStats stays the single external
 // currency.
 //
-// Three execution modes (per shard):
-//   * num_threads >= 1: worker threads (per shard) drive the batcher;
-//     consumers wait up to `request_deadline` for an in-flight hint before
-//     declining (a miss, counted — the consumer's fallback chain takes
-//     over).
-//   * num_threads == 0: deterministic single-thread mode. No threads, no
-//     timing: provider lookups drain the job's shard synchronously, so
-//     every request "meets its deadline" and results are bit-reproducible —
-//     the mode simulation cells and tests use.
-//   * num_threads == 0 with a sim::SimClock (virtual-time mode): timestamps
-//     come from the injected clock and every request is charged
-//     `latency_model->latency_seconds(job)` of virtual delay, so hints race
-//     the placement decisions replayed by the event-driven simulator. A
-//     consumer waits up to `virtual_request_deadline` virtual seconds for
-//     its hint; a hint that cannot make that deadline is a miss (the
-//     consumer degrades to its fallback, per Algorithm 1) and is delivered
-//     later by a hint-ready event on the clock, counted `late`. With the
-//     zero-latency model every hint is on time and results are bit-identical
-//     to plain deterministic mode. Virtual-time mode requires num_shards ==
-//     1: simulation cells stay on the single-lane, bit-reproducible path.
+// Two execution modes (per shard):
+//   * num_threads >= 1 (threaded): worker threads (per shard) drive the
+//     batcher; consumers wait up to `request_deadline` of wall time for an
+//     in-flight hint before declining (a miss, counted — the consumer's
+//     fallback chain takes over).
+//   * num_threads == 0 (inline, virtual time): no threads, no wall clock.
+//     A lookup drains the job's shard on the calling thread; every request
+//     is stamped with virtual time and charged
+//     `latency_model->latency_seconds(job)` of virtual delay. A consumer
+//     waits up to `virtual_request_deadline` virtual seconds for its hint; a
+//     hint that cannot make that deadline is a miss (the consumer degrades
+//     to its fallback, per Algorithm 1) and is delivered later by a
+//     hint-ready event on the clock, counted `late`. Virtual time comes from
+//     the injected sim::SimClock; without one, time stands at 0 and every
+//     hint is ready when looked up, so results are bit-reproducible — the
+//     mode simulation cells and tests use. A clock (and so any latency
+//     model) requires num_shards == 1: simulation cells stay on the
+//     single-lane path.
 //
 // Category values are produced by the same registry-grouped
 // CategoryModel::predict_batch pass as the offline path
@@ -82,8 +80,8 @@ namespace byom::serving {
 
 struct PlacementServiceConfig {
   // Independent serving lanes (queue + batcher + workers + results each),
-  // routed by fnv1a(job_key). 0 = one shard per hardware core. Virtual-time
-  // mode requires the resolved count to be 1.
+  // routed by fnv1a(job_key). 0 = one shard per hardware core. A clock
+  // requires the resolved count to be 1.
   std::size_t num_shards = 1;
   // Lock stripes inside each shard's request queue (see
   // InferenceRequestQueue): producers on different stripes never contend.
@@ -94,24 +92,25 @@ struct PlacementServiceConfig {
   // Batcher flush deadline: max hint latency added by batching under light
   // load (threaded mode only).
   std::chrono::milliseconds flush_deadline{2};
-  // Consumer wait budget for an in-flight hint before declining (threaded
-  // mode only; deterministic mode drains synchronously instead).
+  // Wall-time consumer wait budget for an in-flight hint before declining
+  // (threaded mode only; inline mode uses `virtual_request_deadline`).
   std::chrono::milliseconds request_deadline{5};
   // Worker threads driving each shard's batcher (so the service runs
-  // num_shards * num_threads workers in total). 0 selects the deterministic
-  // single-thread mode described above.
+  // num_shards * num_threads workers in total). 0 selects the inline
+  // virtual-time mode described above.
   std::size_t num_threads = 1;
   // Jobs whose workload has no model in the registry are served the robust
   // hash fallback over this N (mirrors core::precompute_categories).
   int fallback_num_categories = 15;
 
-  // ---- virtual-time mode (requires num_threads == 0, num_shards <= 1) ----
-  // The shared virtual time source. Setting it switches the deterministic
-  // mode to virtual time: enqueue timestamps, latencies, and deadlines are
-  // all expressed in clock seconds.
+  // ---- inline mode (num_threads == 0) ----
+  // The shared virtual time source (requires num_shards == 1): enqueue
+  // timestamps, latencies, and deadlines are all expressed in clock
+  // seconds. Null means time stands at 0.
   std::shared_ptr<sim::SimClock> clock;
   // Per-request serving delay (queueing + batching + inference). Null means
-  // zero latency.
+  // zero latency; non-null requires a clock, where a future-ready hint is
+  // scheduled.
   LatencyModelPtr latency_model;
   // Consumer wait budget in virtual seconds: a hint ready within this much
   // of the lookup is consumed on time; anything slower is a miss and a late
@@ -128,11 +127,11 @@ struct ServingStats {
   std::uint64_t hits = 0;       // provider lookups answered with a hint
   std::uint64_t misses = 0;     // provider lookups that declined (deadline
                                 // missed or never requested) -> fallback
-  // Virtual-time mode hint timeliness: a hint is `on_time` when its
-  // consumer got it within the virtual deadline, `late` when it was
-  // delivered by a clock event after its consumer had already fallen back.
-  // When every request is consumed exactly once (the simulator's regime),
-  // on_time + late + dropped accounts for every submitted request.
+  // Inline-mode hint timeliness: a hint is `on_time` when its consumer got
+  // it within the virtual deadline, `late` when it was delivered by a clock
+  // event after its consumer had already fallen back. When every request is
+  // consumed exactly once (the simulator's regime), on_time + late +
+  // dropped accounts for every submitted request.
   std::uint64_t on_time = 0;
   std::uint64_t late = 0;
   std::uint64_t batches = 0;
@@ -140,10 +139,11 @@ struct ServingStats {
   std::uint64_t deadline_flushes = 0;
   // Latency accounting is mode-tagged — the two modes measure different
   // clocks in different units and must never share a counter:
-  //   * threaded / plain deterministic mode: wall-clock enqueue -> publish,
-  //     milliseconds (the `wall_*` pair; `virtual_*` stays zero);
-  //   * virtual-time mode: the latency model's virtual serving delay,
-  //     seconds (the `virtual_*` pair; `wall_*` stays zero).
+  //   * threaded mode: wall-clock enqueue -> publish, milliseconds (the
+  //     `wall_*` pair; `virtual_*` stays zero);
+  //   * inline mode: the latency model's virtual serving delay, seconds
+  //     (the `virtual_*` pair, zero without a latency model; `wall_*` stays
+  //     zero).
   double wall_latency_total_ms = 0.0;
   double wall_latency_max_ms = 0.0;
   double virtual_latency_total_s = 0.0;
@@ -192,15 +192,10 @@ class PlacementService : public sim::HintService {
 
   // Consumer-side lookup with the service's fallback semantics, routed
   // straight to the job's shard: waits up to `request_deadline` in threaded
-  // mode, drains the shard synchronously in deterministic mode. Counts a
-  // hit or a miss. This is the serving hot path — O(1) in the shard count.
+  // mode; in inline mode drains the shard on this thread and waits up to
+  // `virtual_request_deadline` of virtual time. Counts a hit or a miss.
+  // This is the serving hot path — O(1) in the shard count.
   std::optional<int> wait_for(const trace::Job& job);
-
-  // Id-only variant for consumers that no longer hold the job. Identical to
-  // the routed overload at num_shards == 1; with more shards it must scan
-  // (deterministic mode) or poll (threaded mode) the results tables, so
-  // prefer wait_for(job) on hot paths.
-  std::optional<int> wait_for(std::uint64_t job_id);
 
   // Stops accepting requests, wakes every idle worker on every shard, and
   // joins them. The drain order is part of the contract: requests accepted
@@ -222,7 +217,6 @@ class PlacementService : public sim::HintService {
   sim::HintTimeliness hint_timeliness() const override;
 
   bool deterministic() const { return config_.num_threads == 0; }
-  bool virtual_time() const { return config_.clock != nullptr; }
   std::size_t num_shards() const { return shards_.size(); }
   // Deterministic fnv1a job-key routing (same key -> same shard, every run,
   // every process).
@@ -265,8 +259,9 @@ class PlacementService : public sim::HintService {
     std::atomic<std::uint64_t> on_time{0};
     std::atomic<std::uint64_t> late{0};
 
-    // Virtual-time mode state (single shard; guarded by results_mutex for
-    // consistency with the results table).
+    // Hints computed but not yet ready in virtual time (clock set, so single
+    // shard; guarded by results_mutex for consistency with the results
+    // table).
     std::unordered_map<std::uint64_t, InFlightHint> in_flight
         BYOM_GUARDED_BY(results_mutex);
 
@@ -280,15 +275,22 @@ class PlacementService : public sim::HintService {
     return *shards_[shard_of(job.job_key)];
   }
 
+  // The shard's published hint for `job_id`, if any (no accounting).
+  static std::optional<int> published(const Shard& shard,
+                                      std::uint64_t job_id);
   void execute_batch(Shard& shard, std::vector<InferenceRequest>&& batch);
   void publish_virtual(Shard& shard, std::uint64_t job_id, int category,
                        double virtual_latency);
   void deliver_virtual(std::uint64_t job_id);
-  // Typed SimClock trampoline (virtual-time mode, shard 0): hint-ready
+  // Typed SimClock trampoline (clock set, so shard 0): hint-ready
   // delivery, dispatched with zero allocation.
   static void on_hint_ready_event(void* ctx, std::uint64_t job_id, double);
-  std::optional<int> wait_for_on(Shard& shard, std::uint64_t job_id);
-  std::optional<int> wait_for_virtual(std::uint64_t job_id);
+  // The clock's time, or 0 without a clock.
+  double virtual_now() const {
+    return config_.clock ? config_.clock->now() : 0.0;
+  }
+  std::optional<int> wait_for_threaded(Shard& shard, std::uint64_t job_id);
+  std::optional<int> wait_for_inline(Shard& shard, std::uint64_t job_id);
   void worker_loop(Shard& shard);
 
   const PlacementServiceConfig config_;  // num_shards resolved (>= 1)

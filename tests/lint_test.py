@@ -21,6 +21,7 @@ FIXTURES = os.path.join(REPO_ROOT, "tests", "lint_fixtures")
 
 ALL_RULES = [
     "wall-clock",
+    "serving-sleep",
     "ambient-random",
     "hotpath-alloc",
     "locale-dependent",
@@ -74,6 +75,15 @@ class FiringFixtureTest(unittest.TestCase):
     def test_wall_clock_untagged_outside_core(self):
         self.assert_fires(fixture("serving", "bad_wallclock.cc"),
                           "wall-clock", [6])
+
+    def test_sleep_on_serving_path_even_when_tagged(self):
+        path = fixture("serving", "bad_sleep.cc")
+        self.assert_fires(path, "serving-sleep", [8, 13])
+        code, out, _ = run_linter(path)
+        self.assertIn("no allow tag admits it", out)
+        # The tags are honored for the wall-clock rule itself; only the
+        # sleep rule ignores them.
+        self.assertNotIn("[wall-clock]", out)
 
     def test_ambient_random_in_core(self):
         self.assert_fires(fixture("sim", "bad_random.cc"), "ambient-random",

@@ -211,6 +211,30 @@ TEST(RegressionTree, SerializationRoundTrip) {
   }
 }
 
+TEST(RegressionTree, LoadRejectsBadSplits) {
+  // Node format: leaf feature threshold left right value. The root's right
+  // child (99) is out of range, so compiling or walking it would read past
+  // the node array.
+  std::stringstream out_of_range(
+      "3\n0 0 0.5 1 99 0\n1 -1 0 -1 -1 1\n1 -1 0 -1 -1 2\n");
+  EXPECT_THROW(RegressionTree::load(out_of_range), std::runtime_error);
+  // A child at or before its parent would loop a walk.
+  std::stringstream backward(
+      "3\n0 0 0.5 0 2 0\n1 -1 0 -1 -1 1\n1 -1 0 -1 -1 2\n");
+  EXPECT_THROW(RegressionTree::load(backward), std::runtime_error);
+  std::stringstream negative_feature(
+      "3\n0 -1 0.5 1 2 0\n1 -1 0 -1 -1 1\n1 -1 0 -1 -1 2\n");
+  EXPECT_THROW(RegressionTree::load(negative_feature), std::runtime_error);
+  // The same tree with valid indices loads and walks.
+  std::stringstream valid(
+      "3\n0 0 0.5 1 2 0\n1 -1 0 -1 -1 1\n1 -1 0 -1 -1 2\n");
+  const auto tree = RegressionTree::load(valid);
+  const float low[1] = {0.25f};
+  const float high[1] = {0.75f};
+  EXPECT_EQ(tree.predict(low), 1.0);
+  EXPECT_EQ(tree.predict(high), 2.0);
+}
+
 // ---------------------------------------------------------------- GBDT
 
 TEST(GbdtClassifier, LearnsXor) {

@@ -249,7 +249,7 @@ TEST(PlacementService, DeterministicModeServesBatchedHints) {
   const auto expected = core::precompute_categories(
       *f.registry, jobs, f.model->num_categories());
   for (const auto& job : jobs) {
-    const auto served = service.wait_for(job.job_id);
+    const auto served = service.wait_for(job);
     ASSERT_TRUE(served.has_value());
     EXPECT_EQ(*served, expected.at(job.job_id));
   }
@@ -272,7 +272,7 @@ TEST(PlacementService, DeterministicModeIsRunToRunIdentical) {
     std::vector<int> categories;
     categories.reserve(jobs.size());
     for (const auto& job : jobs) {
-      categories.push_back(service.wait_for(job.job_id).value_or(-1));
+      categories.push_back(service.wait_for(job).value_or(-1));
     }
     const auto stats = service.stats();
     return std::make_pair(categories, stats.batches);
@@ -293,9 +293,9 @@ TEST(PlacementService, MissedDeadlineCountsFallbacks) {
   PlacementService service(f.registry, config);
   ASSERT_TRUE(service.enqueue(jobs[1]));
 
-  EXPECT_FALSE(service.wait_for(jobs.front().job_id).has_value());
-  EXPECT_FALSE(service.wait_for(jobs.back().job_id).has_value());
-  EXPECT_TRUE(service.wait_for(jobs[1].job_id).has_value());
+  EXPECT_FALSE(service.wait_for(jobs.front()).has_value());
+  EXPECT_FALSE(service.wait_for(jobs.back()).has_value());
+  EXPECT_TRUE(service.wait_for(jobs[1]).has_value());
   const auto stats = service.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
@@ -405,7 +405,7 @@ TEST(PlacementService, ThreadedModeServesHintsBeforeDeadline) {
                                f.split.test.jobs().begin() + count);
   ASSERT_EQ(service.enqueue_all(jobs), jobs.size());
   for (const auto& job : jobs) {
-    const auto served = service.wait_for(job.job_id);
+    const auto served = service.wait_for(job);
     ASSERT_TRUE(served.has_value());
     EXPECT_EQ(*served, f.model->predict_category(job));
   }
@@ -707,29 +707,82 @@ TEST(VirtualTime, RequiresDeterministicMode) {
                std::invalid_argument);
 }
 
-TEST(VirtualTime, ZeroLatencyMatchesPlainDeterministicHints) {
+// Without a clock, inline time stands at 0: every hint is ready when
+// looked up, exactly as with a clock and the zero-latency model.
+TEST(VirtualTime, ZeroLatencyClockMatchesClocklessHints) {
   auto& f = fixture();
   const auto& jobs = f.split.test.jobs();
 
-  PlacementService plain(f.registry, f.deterministic_config());
-  plain.enqueue_all(jobs);
+  PlacementService clockless(f.registry, f.deterministic_config());
+  clockless.enqueue_all(jobs);
 
   auto config = f.deterministic_config();
   config.clock = std::make_shared<sim::SimClock>();
   config.latency_model = make_zero_latency_model();
-  PlacementService virt(f.registry, config);
-  virt.enqueue_all(jobs);
+  PlacementService clocked(f.registry, config);
+  clocked.enqueue_all(jobs);
 
   for (const auto& job : jobs) {
-    const auto a = plain.wait_for(job.job_id);
-    const auto b = virt.wait_for(job.job_id);
+    const auto a = clockless.wait_for(job);
+    const auto b = clocked.wait_for(job);
     ASSERT_TRUE(a.has_value());
     ASSERT_TRUE(b.has_value());
     EXPECT_EQ(*a, *b);
   }
-  const auto stats = virt.stats();
-  EXPECT_EQ(stats.on_time, jobs.size());
-  EXPECT_EQ(stats.late, 0u);
+  for (const auto& stats : {clockless.stats(), clocked.stats()}) {
+    EXPECT_EQ(stats.on_time, jobs.size());
+    EXPECT_EQ(stats.late, 0u);
+    EXPECT_EQ(stats.virtual_latency_total_s, 0.0);
+    EXPECT_EQ(stats.wall_latency_total_ms, 0.0);
+  }
+}
+
+TEST(VirtualTime, LatencyModelRequiresClock) {
+  auto config = fixture().deterministic_config();
+  config.latency_model = make_fixed_latency_model(0.5);
+  EXPECT_THROW(PlacementService(fixture().registry, config),
+               std::invalid_argument);
+}
+
+// Once every submitted job has been looked up once (and every scheduled
+// hint-ready event has fired), on_time + late + dropped accounts for every
+// submitted request, in both inline cases.
+TEST(VirtualTime, TimelinessAccountsForEverySubmittedRequest) {
+  auto& f = fixture();
+  const auto& jobs = f.split.test.jobs();
+  const auto check = [&](PlacementService& service,
+                         const std::shared_ptr<sim::SimClock>& clock) {
+    const std::size_t accepted = service.enqueue_all(jobs);
+    for (const auto& job : jobs) service.wait_for(job);
+    if (clock) clock->run_all();
+    const auto stats = service.stats();
+    EXPECT_GT(stats.dropped, 0u);  // the bounded queue sheds some requests
+    EXPECT_EQ(stats.enqueued, accepted);
+    EXPECT_EQ(stats.hits + stats.misses, jobs.size());
+    EXPECT_EQ(stats.on_time + stats.late + stats.dropped,
+              stats.enqueued + stats.dropped);
+    return stats;
+  };
+
+  // No clock, four shards: every accepted hint is on time.
+  auto clockless = f.deterministic_config();
+  clockless.num_shards = 4;
+  clockless.queue_capacity = jobs.size() / 8;  // per shard
+  PlacementService sharded(f.registry, clockless);
+  const auto inline_stats = check(sharded, nullptr);
+  EXPECT_EQ(inline_stats.on_time, inline_stats.enqueued);
+  EXPECT_EQ(inline_stats.late, 0u);
+
+  // A fixed latency beyond the deadline: every accepted hint is late.
+  auto clocked = f.deterministic_config();
+  clocked.queue_capacity = jobs.size() / 2;
+  clocked.clock = std::make_shared<sim::SimClock>();
+  clocked.latency_model = make_fixed_latency_model(5.0);
+  clocked.virtual_request_deadline = 1.0;
+  PlacementService slow(f.registry, clocked);
+  const auto late_stats = check(slow, clocked.clock);
+  EXPECT_EQ(late_stats.late, late_stats.enqueued);
+  EXPECT_EQ(late_stats.on_time, 0u);
 }
 
 TEST(VirtualTime, HintWithinDeadlineConsumedMidWait) {
@@ -742,7 +795,7 @@ TEST(VirtualTime, HintWithinDeadlineConsumedMidWait) {
 
   const auto& job = f.split.test.jobs().front();
   ASSERT_TRUE(service.enqueue(job));
-  const auto hint = service.wait_for(job.job_id);
+  const auto hint = service.wait_for(job);
   ASSERT_TRUE(hint.has_value());
   EXPECT_EQ(*hint, f.model->predict_category(job));
   const auto stats = service.stats();
@@ -766,7 +819,7 @@ TEST(VirtualTime, HintBeyondDeadlineIsLateAndDeliveredByEvent) {
 
   const auto& job = f.split.test.jobs().front();
   ASSERT_TRUE(service.enqueue(job));
-  EXPECT_FALSE(service.wait_for(job.job_id).has_value());  // cannot make it
+  EXPECT_FALSE(service.wait_for(job).has_value());  // cannot make it
   EXPECT_EQ(service.stats().misses, 1u);
   EXPECT_EQ(service.stats().late, 0u);  // not delivered yet
 

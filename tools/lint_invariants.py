@@ -24,7 +24,9 @@ A tag must carry a reason; bare tags are themselves violations. Inside
 the deterministic core (any path component named sim/, core/, policy/ or
 oracle/) the wall-clock and ambient-random rules are hard bans: allow
 tags are NOT honored there, because a tagged exception would still leak
-nondeterminism into replay results.
+nondeterminism into replay results. Likewise no tag admits a sleep
+(sleep_for/sleep_until) under a serving/ path: a served lookup that
+polls must do so with a zero-wait sweep.
 
 Hot-path allocation checks: a comment line containing `hotpath:` marks
 the next function definition as allocation-free; its body (brace-matched)
@@ -39,6 +41,8 @@ import sys
 
 # Path components whose files form the deterministic replay core.
 RESTRICTED_COMPONENTS = {"sim", "core", "policy", "oracle"}
+# Path component whose files form the serving path (no sleeps at all).
+SERVING_COMPONENT = "serving"
 
 CPP_EXTENSIONS = {".h", ".hpp", ".cc", ".cpp"}
 
@@ -50,6 +54,12 @@ RULES = {
         "sleep_until/std::time/clock_gettime/gettimeofday are banned in "
         "sim/, core/, policy/, oracle/ (no allow tags honored); elsewhere "
         "intentional uses must carry a lint:allow(wall-clock) tag.",
+    ),
+    "serving-sleep": (
+        "no sleeps on the serving path",
+        "sleep_for/sleep_until are banned under any serving/ path (no allow "
+        "tags honored, lint:allow(wall-clock) included): a served lookup "
+        "that polls must use a zero-wait sweep, never a sleep.",
     ),
     "ambient-random": (
         "no ambient randomness in the deterministic core",
@@ -107,6 +117,7 @@ WALL_CLOCK_RE = re.compile(
     r"\b(?:system_clock|steady_clock|high_resolution_clock|sleep_for|"
     r"sleep_until|clock_gettime|gettimeofday)\b|std::time\s*\("
 )
+SLEEP_RE = re.compile(r"\b(?:sleep_for|sleep_until)\b")
 AMBIENT_RANDOM_RE = re.compile(r"\b(?:srand|random_device)\b|std::rand\b")
 LOCALE_RE = re.compile(
     r"\b(?:tolower|toupper|isalnum|isalpha|isdigit|isspace|isupper|"
@@ -411,6 +422,11 @@ def lint_file(path, violations):
 
     scan_regex(WALL_CLOCK_RE, stripped_lines, "wall-clock",
                "wall-clock primitive", path, restricted, allows, violations)
+    if SERVING_COMPONENT in os.path.normpath(path).split(os.sep):
+        scan_regex(SLEEP_RE, stripped_lines, "serving-sleep",
+                   "sleep on the serving path (no allow tag admits it; poll "
+                   "with a zero-wait sweep)",
+                   path, False, {}, violations)
     scan_regex(AMBIENT_RANDOM_RE, stripped_lines, "ambient-random",
                "ambient randomness", path, restricted, allows, violations)
     scan_regex(LOCALE_RE, stripped_lines, "locale-dependent",
