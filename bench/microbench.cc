@@ -505,14 +505,16 @@ BENCHMARK(BM_ServedHintLatency)
 //
 // End-to-end threaded serving: enqueue the whole request stream, then
 // consume every hint through the routed wait_for. One worker per shard, so
-// Arg(N) = N independent lanes (striped queue + batcher + worker + results
-// each); the inference work parallelizes across shards while the consumer
+// Arg(N) = N independent lanes (queue + batcher + worker + results each);
+// the inference work parallelizes across shards while the consumer
 // loop stays serial. requests_per_second is the headline rate;
 // deadline_compliance is the fraction of lookups answered within
 // request_deadline (hits / (hits + misses)). On a single-core host the
-// lanes time-slice and the rate is flat. The one multi-core number on
-// record is a single run on a 4-vCPU host: 1.49x at 4 shards. The >= 2x
-// scaling bar is unconfirmed on multi-core hardware.
+// lanes time-slice and the rate is flat. On a 4-vCPU host, 4 shards ran
+// 1.43-1.52x with lock-striped shard queues and 1.20-1.31x with the
+// single-mutex queue, whose 1-shard rate is higher (BENCH_microbench.json
+// serving_throughput_note). The >= 2x scaling bar is unconfirmed on
+// multi-core hardware.
 const std::vector<trace::Job>& throughput_jobs() {
   // inference_jobs() replicates the test trace, so its job ids repeat;
   // results tables are keyed by id, so give every request a unique one (the
@@ -534,15 +536,13 @@ void BM_ServingThroughput(benchmark::State& state) {
   const auto& jobs = throughput_jobs();
   serving::PlacementServiceConfig config;
   config.num_shards = static_cast<std::size_t>(state.range(0));
-  config.queue_stripes = 4;
   config.num_threads = 1;  // one worker per shard
-  // 2x headroom: the whole stream is enqueued up front and the per-shard
-  // bound splits across stripes, so an average-full stripe would drop the
-  // requests the job-id hash over-assigns to it.
-  config.queue_capacity = 2 * jobs.size();
+  // The whole stream is enqueued up front, so each shard's bound must hold
+  // it all: the job-key router may send every request to one shard.
+  config.queue_capacity = jobs.size();
   config.max_batch = 64;
   config.flush_deadline = std::chrono::milliseconds(1);
-  config.request_deadline = std::chrono::milliseconds(100);
+  config.request_deadline = 0.1;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   for (auto _ : state) {

@@ -73,7 +73,7 @@ int main() {
   serving_config.num_threads = 1;
   serving_config.max_batch = 32;
   serving_config.flush_deadline = std::chrono::milliseconds(1);
-  serving_config.request_deadline = std::chrono::milliseconds(50);
+  serving_config.request_deadline = 0.05;  // seconds
   serving_config.fallback_num_categories = model->num_categories();
   auto service = std::make_shared<serving::PlacementService>(registry,
                                                              serving_config);
@@ -106,15 +106,14 @@ int main() {
   const auto serving_stats = service->stats();
   std::printf(
       "serving: %llu requests, %llu batches (%llu size / %llu deadline "
-      "flushes), %llu hits, %llu fallbacks, mean wall hint latency "
-      "%.3f ms\n",
+      "flushes), %llu hits, %llu fallbacks, mean hint latency %.3f ms\n",
       static_cast<unsigned long long>(serving_stats.enqueued),
       static_cast<unsigned long long>(serving_stats.batches),
       static_cast<unsigned long long>(serving_stats.size_flushes),
       static_cast<unsigned long long>(serving_stats.deadline_flushes),
       static_cast<unsigned long long>(serving_stats.hits),
       static_cast<unsigned long long>(serving_stats.misses),
-      serving_stats.mean_wall_latency_ms());
+      1e3 * serving_stats.mean_latency_s());
 
   std::printf("results over the live week (vs all-HDD baseline):\n");
   std::printf("  BYOM      TCO %.2f%%  TCIO %.2f%%  runtime %.2f%%\n",

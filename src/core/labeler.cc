@@ -108,8 +108,13 @@ CategoryLabeler CategoryLabeler::load(std::istream& in) {
   CategoryLabeler labeler;
   std::size_t count = 0;
   in >> labeler.num_categories_ >> count;
-  labeler.density_thresholds_.resize(count);
-  for (double& t : labeler.density_thresholds_) in >> t;
+  // One threshold at a time, never sized from the header: a corrupt count
+  // fails at the first missing value instead of allocating the count.
+  for (std::size_t i = 0; in && i < count; ++i) {
+    double t = 0.0;
+    in >> t;
+    labeler.density_thresholds_.push_back(t);
+  }
   if (!in) throw std::runtime_error("CategoryLabeler::load: malformed input");
   return labeler;
 }

@@ -357,7 +357,7 @@ PolicyContext MethodFactory::served_latency_context(
                 options.hint_latency,
                 options.noise_seed ^ 0xA5A5A5A55A5A5A5AULL)
           : serving::make_zero_latency_model();
-  config.virtual_request_deadline = options.hint_deadline;
+  config.request_deadline = options.hint_deadline;
   context.hint_service = std::make_shared<serving::PlacementService>(
       context.registry, config);
   // NOTE: no window hook — the event engine submits each request at its

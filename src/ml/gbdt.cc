@@ -223,7 +223,11 @@ GbdtClassifier GbdtClassifier::load(std::istream& in) {
   GbdtClassifier model;
   std::size_t num_trees = 0;
   in >> model.num_classes_ >> num_trees >> model.learning_rate_;
-  model.trees_.reserve(num_trees);
+  if (!in || model.num_classes_ <= 0) {
+    throw std::runtime_error("GbdtClassifier::load: bad header");
+  }
+  // Tree by tree, never reserved from the header: each RegressionTree::load
+  // throws at the first missing tree.
   for (std::size_t i = 0; i < num_trees; ++i) {
     model.trees_.push_back(RegressionTree::load(in));
   }
@@ -331,7 +335,8 @@ GbdtRegressor GbdtRegressor::load(std::istream& in) {
   GbdtRegressor model;
   std::size_t num_trees = 0;
   in >> num_trees >> model.base_ >> model.learning_rate_;
-  model.trees_.reserve(num_trees);
+  if (!in) throw std::runtime_error("GbdtRegressor::load: bad header");
+  // Tree by tree, never reserved from the header (see GbdtClassifier).
   for (std::size_t i = 0; i < num_trees; ++i) {
     model.trees_.push_back(RegressionTree::load(in));
   }

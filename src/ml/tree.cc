@@ -189,9 +189,12 @@ RegressionTree RegressionTree::load(std::istream& in) {
   RegressionTree tree;
   std::size_t count = 0;
   in >> count;
-  tree.nodes_.resize(count);
-  for (Node& n : tree.nodes_) {
+  // Node by node, never sized from the header: a corrupt count fails at
+  // the first missing node instead of allocating the count up front.
+  for (std::size_t i = 0; in && i < count; ++i) {
+    Node n;
     in >> n.leaf >> n.feature >> n.threshold >> n.left >> n.right >> n.value;
+    tree.nodes_.push_back(n);
   }
   if (!in) throw std::runtime_error("RegressionTree::load: malformed input");
   // fit() emits every child after its parent, so a child index outside

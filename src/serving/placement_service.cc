@@ -42,11 +42,19 @@ PlacementServiceConfig resolve_config(PlacementServiceConfig config) {
 
 PlacementService::Shard::Shard(PlacementService* service,
                                const PlacementServiceConfig& config)
-    : queue(config.queue_capacity, config.queue_stripes),
+    : queue(config.queue_capacity),
       batcher(&queue, BatcherConfig{config.max_batch, config.flush_deadline},
               [service, this](std::vector<InferenceRequest>&& batch) {
                 service->execute_batch(*this, std::move(batch));
               }) {}
+
+void PlacementService::Shard::publish(std::uint64_t job_id, int category,
+                                      double latency) {
+  if (!results.emplace(job_id, category).second) return;
+  ++completed;
+  latency_total_s += latency;
+  latency_max_s = std::max(latency_max_s, latency);
+}
 
 PlacementService::PlacementService(
     std::shared_ptr<const core::ModelRegistry> registry,
@@ -69,6 +77,15 @@ PlacementService::PlacementService(
 
 PlacementService::~PlacementService() { shutdown(); }
 
+double PlacementService::now() const {
+  if (deterministic()) return config_.clock ? config_.clock->now() : 0.0;
+  // lint:allow(wall-clock) the threaded service's clock; inline services
+  // read the SimClock above
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 void PlacementService::worker_loop(Shard& shard) {
   while (shard.batcher.run_once()) {
   }
@@ -83,16 +100,7 @@ std::size_t PlacementService::shard_of(std::string_view job_key) const {
 
 bool PlacementService::enqueue(const trace::Job& job) {
   Shard& shard = shard_for(job);
-  InferenceRequest request;
-  request.job = job;
-  if (deterministic()) {
-    request.virtual_enqueued_at = virtual_now();
-  } else {
-    // lint:allow(wall-clock) wall-latency stats of the threaded mode; the
-    // inline mode never stamps or reads it
-    request.enqueued_at = std::chrono::steady_clock::now();
-  }
-  if (!shard.queue.try_push(std::move(request))) {
+  if (!shard.queue.try_push(InferenceRequest{job, now()})) {
     // atomic: relaxed — stats counter; publishes no data, only summed
     // by stats()
     shard.dropped.fetch_add(1, std::memory_order_relaxed);
@@ -130,7 +138,7 @@ std::optional<int> PlacementService::lookup(std::uint64_t job_id) const {
 
 std::optional<int> PlacementService::wait_for_inline(Shard& shard,
                                                      std::uint64_t job_id) {
-  const double now = virtual_now();
+  const double t = now();
   auto hint = published(shard, job_id);
   if (!hint) {
     // Compute everything queued on this shard so far; results land in the
@@ -139,27 +147,21 @@ std::optional<int> PlacementService::wait_for_inline(Shard& shard,
     hint = published(shard, job_id);
   }
   if (!hint) {
-    std::optional<InFlightHint> ready;
-    {
-      common::MutexLock lock(shard.results_mutex);
-      const auto it = shard.in_flight.find(job_id);
-      if (it != shard.in_flight.end()) {
-        if (it->second.ready_time <= now + config_.virtual_request_deadline) {
-          // The consumer's wait budget covers the remaining latency:
-          // consume the hint "mid-wait". The scheduled hint-ready event
-          // finds it gone and does nothing.
-          ready = it->second;
-          shard.in_flight.erase(it);
-        } else {
-          // The hint cannot make the deadline: Algorithm 1 falls back now;
-          // the hint-ready event will deliver (and count) it late.
-          it->second.missed = true;
-        }
+    common::MutexLock lock(shard.results_mutex);
+    const auto it = shard.in_flight.find(job_id);
+    if (it != shard.in_flight.end()) {
+      if (it->second.ready_time <= t + config_.request_deadline) {
+        // The consumer's wait budget covers the remaining latency: consume
+        // the hint "mid-wait". The scheduled hint-ready event finds it gone
+        // and does nothing.
+        hint = it->second.category;
+        shard.publish(job_id, it->second.category, it->second.latency);
+        shard.in_flight.erase(it);
+      } else {
+        // The hint cannot make the deadline: Algorithm 1 falls back now;
+        // the hint-ready event will deliver (and count) it late.
+        it->second.missed = true;
       }
-    }
-    if (ready) {
-      publish_virtual(shard, job_id, ready->category, ready->virtual_latency);
-      hint = ready->category;
     }
   }
   if (!hint) {
@@ -177,10 +179,11 @@ std::optional<int> PlacementService::wait_for_inline(Shard& shard,
 
 std::optional<int> PlacementService::wait_for_threaded(Shard& shard,
                                                        std::uint64_t job_id) {
-  // lint:allow(wall-clock) threaded-mode consumer deadline; inline lookups
-  // go through wait_for_inline instead
-  const auto deadline =
-      std::chrono::steady_clock::now() + config_.request_deadline;
+  // lint:allow(wall-clock) the deadline as a point on the service clock,
+  // which is the steady clock in this mode
+  const auto deadline = std::chrono::steady_clock::time_point() +
+                        std::chrono::duration<double>(
+                            now() + config_.request_deadline);
   common::MutexLock lock(shard.results_mutex);
   // Explicit predicate loop (not the lambda-predicate wait overload): the
   // thread-safety analysis checks each guarded access in this scope, where
@@ -211,16 +214,6 @@ std::optional<int> PlacementService::wait_for(const trace::Job& job) {
                          : wait_for_threaded(shard, job.job_id);
 }
 
-void PlacementService::publish_virtual(Shard& shard, std::uint64_t job_id,
-                                       int category, double virtual_latency) {
-  common::MutexLock lock(shard.results_mutex);
-  if (!shard.results.emplace(job_id, category).second) return;
-  ++shard.completed;
-  shard.virtual_latency_total_s += virtual_latency;
-  shard.virtual_latency_max_s =
-      std::max(shard.virtual_latency_max_s, virtual_latency);
-}
-
 void PlacementService::on_hint_ready_event(void* ctx, std::uint64_t job_id,
                                            double) {
   static_cast<PlacementService*>(ctx)->deliver_virtual(job_id);
@@ -231,17 +224,17 @@ void PlacementService::deliver_virtual(std::uint64_t job_id) {
   // the consumer already took it mid-wait (or it was never computed) there
   // is nothing to do.
   Shard& shard = *shards_.front();
-  InFlightHint hint;
+  bool missed = false;
   {
     common::MutexLock lock(shard.results_mutex);
     const auto it = shard.in_flight.find(job_id);
     if (it == shard.in_flight.end()) return;
-    hint = it->second;
+    shard.publish(job_id, it->second.category, it->second.latency);
+    missed = it->second.missed;
     shard.in_flight.erase(it);
   }
-  publish_virtual(shard, job_id, hint.category, hint.virtual_latency);
   // atomic: relaxed — late-hint stats counter; only summed by stats()
-  if (hint.missed) shard.late.fetch_add(1, std::memory_order_relaxed);
+  if (missed) shard.late.fetch_add(1, std::memory_order_relaxed);
 }
 
 void PlacementService::execute_batch(Shard& shard,
@@ -249,7 +242,7 @@ void PlacementService::execute_batch(Shard& shard,
   // One registry-grouped predict_batch pass — the exact code path offline
   // precomputation uses, which is what makes served hints bit-identical to
   // offline-batched hints (per-job results are independent of batch
-  // composition, so shard/stripe interleaving cannot change them). The
+  // composition, so shard interleaving cannot change them). The
   // batch is consumed here, so its jobs move out instead of being copied;
   // jobs[i] is batch[i]'s job from here on.
   std::vector<trace::Job> jobs;
@@ -258,24 +251,24 @@ void PlacementService::execute_batch(Shard& shard,
   const core::CategoryHints hints = core::precompute_categories(
       *registry_, jobs, config_.fallback_num_categories);
 
+  const double t = now();
   if (deterministic()) {
     // A hint ready by now is published; a later one (only possible with a
     // clock, which any latency model requires) goes in flight until its
     // hint-ready event.
-    const double now = virtual_now();
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const std::uint64_t job_id = jobs[i].job_id;
       const double latency =
           config_.latency_model
               ? config_.latency_model->latency_seconds(jobs[i])
               : 0.0;
-      const double ready = batch[i].virtual_enqueued_at + latency;
-      if (ready <= now) {
-        publish_virtual(shard, job_id, hints.at(job_id), latency);
-        continue;
-      }
+      const double ready = batch[i].enqueued_at + latency;
       {
         common::MutexLock lock(shard.results_mutex);
+        if (ready <= t) {
+          shard.publish(job_id, hints.at(job_id), latency);
+          continue;
+        }
         if (shard.results.count(job_id) || shard.in_flight.count(job_id)) {
           continue;  // duplicate request for an already-served job
         }
@@ -291,23 +284,11 @@ void PlacementService::execute_batch(Shard& shard,
     return;
   }
 
-  // lint:allow(wall-clock) threaded-mode publish timestamp; the inline
-  // path above uses virtual time
-  const auto now = std::chrono::steady_clock::now();
   {
     common::MutexLock lock(shard.results_mutex);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      // First publication wins; a duplicate request for an already-served
-      // job completes without recounting stats.
       const std::uint64_t job_id = jobs[i].job_id;
-      if (!shard.results.emplace(job_id, hints.at(job_id)).second) continue;
-      ++shard.completed;
-      const double latency_ms = std::chrono::duration<double, std::milli>(
-                                    now - batch[i].enqueued_at)
-                                    .count();
-      shard.wall_latency_total_ms += latency_ms;
-      shard.wall_latency_max_ms =
-          std::max(shard.wall_latency_max_ms, latency_ms);
+      shard.publish(job_id, hints.at(job_id), t - batch[i].enqueued_at);
     }
   }
   shard.results_cv.notify_all();
@@ -350,10 +331,8 @@ ServingStats PlacementService::shard_stats(std::size_t shard_index) const {
   {
     common::MutexLock lock(shard.results_mutex);
     stats.completed = shard.completed;
-    stats.wall_latency_total_ms = shard.wall_latency_total_ms;
-    stats.wall_latency_max_ms = shard.wall_latency_max_ms;
-    stats.virtual_latency_total_s = shard.virtual_latency_total_s;
-    stats.virtual_latency_max_s = shard.virtual_latency_max_s;
+    stats.latency_total_s = shard.latency_total_s;
+    stats.latency_max_s = shard.latency_max_s;
   }
   return stats;
 }
@@ -372,12 +351,8 @@ ServingStats PlacementService::stats() const {
     total.batches += s.batches;
     total.size_flushes += s.size_flushes;
     total.deadline_flushes += s.deadline_flushes;
-    total.wall_latency_total_ms += s.wall_latency_total_ms;
-    total.wall_latency_max_ms =
-        std::max(total.wall_latency_max_ms, s.wall_latency_max_ms);
-    total.virtual_latency_total_s += s.virtual_latency_total_s;
-    total.virtual_latency_max_s =
-        std::max(total.virtual_latency_max_s, s.virtual_latency_max_s);
+    total.latency_total_s += s.latency_total_s;
+    total.latency_max_s = std::max(total.latency_max_s, s.latency_max_s);
   }
   return total;
 }

@@ -9,14 +9,14 @@
 //   submit path                 serving loop                decision path
 //   -----------                 ------------                -------------
 //   enqueue(job) ---> shard router (fnv1a job-key hash)
-//                        |-> shard 0: striped queue -> Batcher -> predict
-//                        |-> shard 1: striped queue -> Batcher -> predict
+//                        |-> shard 0: queue -> Batcher -> predict
+//                        |-> shard 1: queue -> Batcher -> predict
 //                        `-> ...               (one worker set per shard)
 //   provider()->category(job) <---- per-shard published hint table <---+
 //
 // Sharding (the million-RPS serving path): the service stands up
 // `num_shards` fully independent serving lanes — each with its own
-// lock-striped InferenceRequestQueue, Batcher, worker threads, results
+// single-mutex InferenceRequestQueue, Batcher, worker threads, results
 // table, and counters — and routes every request to the shard selected by
 // fnv1a(job.job_key) % num_shards. The same recurring (pipeline, step) pair
 // always lands on the same shard (deterministic routing, warm per-shard
@@ -26,24 +26,25 @@
 // shards with relaxed atomic reads; ServingStats stays the single external
 // currency.
 //
-// Two execution modes (per shard):
-//   * num_threads >= 1 (threaded): worker threads (per shard) drive the
-//     batcher; consumers wait up to `request_deadline` of wall time for an
-//     in-flight hint before declining (a miss, counted — the consumer's
+// One clock per service, in seconds: every request is stamped with it on
+// enqueue, `request_deadline` is measured on it, and ServingStats latencies
+// are read from it. Which clock depends on the mode:
+//   * num_threads >= 1 (threaded): the steady clock. Worker threads (per
+//     shard) drive the batcher; consumers wait up to `request_deadline` for
+//     an in-flight hint before declining (a miss, counted — the consumer's
 //     fallback chain takes over).
-//   * num_threads == 0 (inline, virtual time): no threads, no wall clock.
-//     A lookup drains the job's shard on the calling thread; every request
-//     is stamped with virtual time and charged
+//   * num_threads == 0 (inline, virtual time): the injected sim::SimClock,
+//     or 0 without one. No threads: a lookup drains the job's shard on the
+//     calling thread, and every request is charged
 //     `latency_model->latency_seconds(job)` of virtual delay. A consumer
-//     waits up to `virtual_request_deadline` virtual seconds for its hint; a
-//     hint that cannot make that deadline is a miss (the consumer degrades
-//     to its fallback, per Algorithm 1) and is delivered later by a
-//     hint-ready event on the clock, counted `late`. Virtual time comes from
-//     the injected sim::SimClock; without one, time stands at 0 and every
-//     hint is ready when looked up, so results are bit-reproducible — the
-//     mode simulation cells and tests use. A clock (and so any latency
-//     model) requires num_shards == 1: simulation cells stay on the
-//     single-lane path.
+//     waits up to `request_deadline` virtual seconds for its hint; a hint
+//     that cannot make that deadline is a miss (the consumer degrades to
+//     its fallback, per Algorithm 1) and is delivered later by a hint-ready
+//     event on the clock, counted `late`. Without a clock, time stands at 0
+//     and every hint is ready when looked up, so results are
+//     bit-reproducible — the mode simulation cells and tests use. A clock
+//     (and so any latency model) requires num_shards == 1: simulation cells
+//     stay on the single-lane path.
 //
 // Category values are produced by the same registry-grouped
 // CategoryModel::predict_batch pass as the offline path
@@ -83,18 +84,17 @@ struct PlacementServiceConfig {
   // routed by fnv1a(job_key). 0 = one shard per hardware core. A clock
   // requires the resolved count to be 1.
   std::size_t num_shards = 1;
-  // Lock stripes inside each shard's request queue (see
-  // InferenceRequestQueue): producers on different stripes never contend.
-  std::size_t queue_stripes = 1;
-  // Request-queue bound *per shard* (split across its stripes).
+  // Request-queue bound *per shard*.
   std::size_t queue_capacity = 4096;
   std::size_t max_batch = 64;
   // Batcher flush deadline: max hint latency added by batching under light
   // load (threaded mode only).
   std::chrono::milliseconds flush_deadline{2};
-  // Wall-time consumer wait budget for an in-flight hint before declining
-  // (threaded mode only; inline mode uses `virtual_request_deadline`).
-  std::chrono::milliseconds request_deadline{5};
+  // Consumer wait budget for an in-flight hint before declining, in
+  // seconds of the service clock: a hint ready within this much of the
+  // lookup is consumed on time; anything slower is a miss (inline: and a
+  // late delivery).
+  double request_deadline = 0.005;
   // Worker threads driving each shard's batcher (so the service runs
   // num_shards * num_threads workers in total). 0 selects the inline
   // virtual-time mode described above.
@@ -104,18 +104,13 @@ struct PlacementServiceConfig {
   int fallback_num_categories = 15;
 
   // ---- inline mode (num_threads == 0) ----
-  // The shared virtual time source (requires num_shards == 1): enqueue
-  // timestamps, latencies, and deadlines are all expressed in clock
-  // seconds. Null means time stands at 0.
+  // The service clock (requires num_shards == 1). Null means time stands
+  // at 0.
   std::shared_ptr<sim::SimClock> clock;
   // Per-request serving delay (queueing + batching + inference). Null means
   // zero latency; non-null requires a clock, where a future-ready hint is
   // scheduled.
   LatencyModelPtr latency_model;
-  // Consumer wait budget in virtual seconds: a hint ready within this much
-  // of the lookup is consumed on time; anything slower is a miss and a late
-  // delivery. The virtual analogue of `request_deadline`.
-  double virtual_request_deadline = 0.0;
 };
 
 // Aggregate serving counters (all monotonic), summed across shards with
@@ -128,7 +123,7 @@ struct ServingStats {
   std::uint64_t misses = 0;     // provider lookups that declined (deadline
                                 // missed or never requested) -> fallback
   // Inline-mode hint timeliness: a hint is `on_time` when its consumer got
-  // it within the virtual deadline, `late` when it was delivered by a clock
+  // it within `request_deadline`, `late` when it was delivered by a clock
   // event after its consumer had already fallen back. When every request is
   // consumed exactly once (the simulator's regime), on_time + late +
   // dropped accounts for every submitted request.
@@ -137,27 +132,15 @@ struct ServingStats {
   std::uint64_t batches = 0;
   std::uint64_t size_flushes = 0;
   std::uint64_t deadline_flushes = 0;
-  // Latency accounting is mode-tagged — the two modes measure different
-  // clocks in different units and must never share a counter:
-  //   * threaded mode: wall-clock enqueue -> publish, milliseconds (the
-  //     `wall_*` pair; `virtual_*` stays zero);
-  //   * inline mode: the latency model's virtual serving delay, seconds
-  //     (the `virtual_*` pair, zero without a latency model; `wall_*` stays
-  //     zero).
-  double wall_latency_total_ms = 0.0;
-  double wall_latency_max_ms = 0.0;
-  double virtual_latency_total_s = 0.0;
-  double virtual_latency_max_s = 0.0;
+  // Enqueue -> publish latency of the published hints, in seconds of the
+  // service clock: measured steady-clock time in threaded mode, the latency
+  // model's virtual delay inline (zero without a model).
+  double latency_total_s = 0.0;
+  double latency_max_s = 0.0;
 
-  double mean_wall_latency_ms() const {
-    return completed > 0
-               ? wall_latency_total_ms / static_cast<double>(completed)
-               : 0.0;
-  }
-  double mean_virtual_latency_s() const {
-    return completed > 0
-               ? virtual_latency_total_s / static_cast<double>(completed)
-               : 0.0;
+  double mean_latency_s() const {
+    return completed > 0 ? latency_total_s / static_cast<double>(completed)
+                         : 0.0;
   }
 };
 
@@ -191,9 +174,9 @@ class PlacementService : public sim::HintService {
   std::optional<int> lookup(std::uint64_t job_id) const;
 
   // Consumer-side lookup with the service's fallback semantics, routed
-  // straight to the job's shard: waits up to `request_deadline` in threaded
-  // mode; in inline mode drains the shard on this thread and waits up to
-  // `virtual_request_deadline` of virtual time. Counts a hit or a miss.
+  // straight to the job's shard: waits up to `request_deadline` for the
+  // hint (inline mode drains the shard on this thread first, and waits in
+  // virtual time). Counts a hit or a miss.
   // This is the serving hot path — O(1) in the shard count.
   std::optional<int> wait_for(const trace::Job& job);
 
@@ -229,7 +212,7 @@ class PlacementService : public sim::HintService {
   struct InFlightHint {
     int category = 0;
     double ready_time = 0.0;
-    double virtual_latency = 0.0;
+    double latency = 0.0;
     // Consumer already declined this hint (deadline exceeded): deliver
     // counts it late.
     bool missed = false;
@@ -240,6 +223,11 @@ class PlacementService : public sim::HintService {
   struct Shard {
     Shard(PlacementService* service, const PlacementServiceConfig& config);
 
+    // Publishes a hint and accounts its latency. First publication wins: a
+    // duplicate request for an already-served job changes nothing.
+    void publish(std::uint64_t job_id, int category, double latency)
+        BYOM_REQUIRES(results_mutex);
+
     InferenceRequestQueue queue;
     Batcher batcher;
 
@@ -247,10 +235,8 @@ class PlacementService : public sim::HintService {
     common::CondVar results_cv;
     core::CategoryHints results BYOM_GUARDED_BY(results_mutex);
     std::uint64_t completed BYOM_GUARDED_BY(results_mutex) = 0;
-    double wall_latency_total_ms BYOM_GUARDED_BY(results_mutex) = 0.0;
-    double wall_latency_max_ms BYOM_GUARDED_BY(results_mutex) = 0.0;
-    double virtual_latency_total_s BYOM_GUARDED_BY(results_mutex) = 0.0;
-    double virtual_latency_max_s BYOM_GUARDED_BY(results_mutex) = 0.0;
+    double latency_total_s BYOM_GUARDED_BY(results_mutex) = 0.0;
+    double latency_max_s BYOM_GUARDED_BY(results_mutex) = 0.0;
 
     std::atomic<std::uint64_t> enqueued{0};
     std::atomic<std::uint64_t> dropped{0};
@@ -279,16 +265,13 @@ class PlacementService : public sim::HintService {
   static std::optional<int> published(const Shard& shard,
                                       std::uint64_t job_id);
   void execute_batch(Shard& shard, std::vector<InferenceRequest>&& batch);
-  void publish_virtual(Shard& shard, std::uint64_t job_id, int category,
-                       double virtual_latency);
   void deliver_virtual(std::uint64_t job_id);
   // Typed SimClock trampoline (clock set, so shard 0): hint-ready
   // delivery, dispatched with zero allocation.
   static void on_hint_ready_event(void* ctx, std::uint64_t job_id, double);
-  // The clock's time, or 0 without a clock.
-  double virtual_now() const {
-    return config_.clock ? config_.clock->now() : 0.0;
-  }
+  // The service clock, in seconds: the steady clock when threaded; the
+  // SimClock's time, or 0 without a clock, when inline.
+  double now() const;
   std::optional<int> wait_for_threaded(Shard& shard, std::uint64_t job_id);
   std::optional<int> wait_for_inline(Shard& shard, std::uint64_t job_id);
   void worker_loop(Shard& shard);

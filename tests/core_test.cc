@@ -111,6 +111,13 @@ TEST(Labeler, SerializationRoundTrip) {
   }
 }
 
+TEST(Labeler, LoadRejectsHugeThresholdCount) {
+  // Header: num_categories count, then the thresholds. Sizing the vector
+  // from a count of 10^9 would allocate ~8 GB before the stream check.
+  std::stringstream huge("category_labeler v1\n7 1000000000\n0.5\n");
+  EXPECT_THROW(CategoryLabeler::load(huge), std::runtime_error);
+}
+
 TEST(Labeler, RejectsBadInput) {
   EXPECT_THROW(CategoryLabeler::fit(labeler_population(), 1),
                std::invalid_argument);

@@ -1,14 +1,14 @@
-// Lock-striped InferenceRequestQueue (ISSUE 6): the MPMC entry point of the
-// sharded serving path. Covers the striping contracts — FIFO per stripe,
-// per-stripe bounds, deterministic stripe mapping — plus
-// multi-producer/multi-consumer stress and shutdown drain. The CI `tsan`
-// and `asan-ubsan` jobs run this suite over the same scenarios.
+// InferenceRequestQueue: the bounded single-mutex MPMC entry point of every
+// serving lane. Covers global FIFO (also per producer under concurrent
+// producers), multi-producer/multi-consumer completeness, shutdown drain
+// and wakeup, and the timed pop. The CI `tsan` and `asan-ubsan` jobs run
+// this suite over the same scenarios.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -24,75 +24,34 @@ InferenceRequest request_for(std::uint64_t job_id) {
   InferenceRequest request;
   request.job.job_id = job_id;
   request.job.job_key = "pipe/step";
-  request.enqueued_at = std::chrono::steady_clock::now();
   return request;
 }
 
-TEST(StripedQueue, RejectsZeroCapacityAndZeroStripes) {
-  EXPECT_THROW(InferenceRequestQueue(0, 1), std::invalid_argument);
-  EXPECT_THROW(InferenceRequestQueue(8, 0), std::invalid_argument);
+TEST(InferenceRequestQueue, RejectsZeroCapacity) {
+  EXPECT_THROW(InferenceRequestQueue(0), std::invalid_argument);
 }
 
-TEST(StripedQueue, StripeMappingIsDeterministicAndInRange) {
-  InferenceRequestQueue queue(64, 4);
-  EXPECT_EQ(queue.num_stripes(), 4u);
-  InferenceRequestQueue other(64, 4);
-  std::set<std::size_t> seen;
-  for (std::uint64_t id = 0; id < 256; ++id) {
-    const std::size_t stripe = queue.stripe_of(id);
-    EXPECT_LT(stripe, 4u);
-    // Same id -> same stripe, in every instance and every run.
-    EXPECT_EQ(stripe, queue.stripe_of(id));
-    EXPECT_EQ(stripe, other.stripe_of(id));
-    seen.insert(stripe);
-  }
-  // The mix spreads sequential ids over every stripe.
-  EXPECT_EQ(seen.size(), 4u);
-}
-
-TEST(StripedQueue, SingleStripeKeepsGlobalFifo) {
-  InferenceRequestQueue queue(8, 1);
+TEST(InferenceRequestQueue, KeepsGlobalFifo) {
+  InferenceRequestQueue queue(8);
   for (std::uint64_t id = 1; id <= 5; ++id) {
     ASSERT_TRUE(queue.try_push(request_for(id)));
   }
+  std::vector<InferenceRequest> out;
+  ASSERT_EQ(queue.pop_batch(out, 8, milliseconds(0)), 5u);
   for (std::uint64_t expected = 1; expected <= 5; ++expected) {
-    const auto popped = queue.pop(milliseconds(0));
-    ASSERT_TRUE(popped.has_value());
-    EXPECT_EQ(popped->job.job_id, expected);
+    EXPECT_EQ(out[expected - 1].job.job_id, expected);
   }
 }
 
-TEST(StripedQueue, BoundsArePerStripe) {
-  InferenceRequestQueue queue(8, 4);  // 2 slots per stripe
-  EXPECT_EQ(queue.capacity(), 8u);
-
-  // Find three ids mapping to the same stripe: the third push must bounce
-  // even though the queue as a whole is nearly empty.
-  const std::size_t target = queue.stripe_of(0);
-  std::vector<std::uint64_t> same_stripe;
-  for (std::uint64_t id = 0; same_stripe.size() < 3; ++id) {
-    if (queue.stripe_of(id) == target) same_stripe.push_back(id);
-  }
-  EXPECT_TRUE(queue.try_push(request_for(same_stripe[0])));
-  EXPECT_TRUE(queue.try_push(request_for(same_stripe[1])));
-  EXPECT_FALSE(queue.try_push(request_for(same_stripe[2])))
-      << "per-stripe bound not enforced";
-  EXPECT_EQ(queue.size(), 2u);
-
-  // A slot frees once a request on that stripe is consumed.
-  ASSERT_TRUE(queue.pop(milliseconds(0)).has_value());
-  EXPECT_TRUE(queue.try_push(request_for(same_stripe[2])));
-}
-
-TEST(StripedQueue, FifoPerStripeWithConcurrentProducers) {
+TEST(InferenceRequestQueue, FifoPerProducerWithConcurrentProducers) {
   constexpr std::size_t kProducers = 4;
   constexpr std::uint64_t kPerProducer = 500;
-  InferenceRequestQueue queue(kProducers * kPerProducer, 4);
+  InferenceRequestQueue queue(kProducers * kPerProducer);
 
   // Producer p pushes ids p*1e6 + k with k ascending; a single consumer
-  // observes the global pop order directly. The striping contract: for any
-  // (producer, stripe) pair, the k's must come out ascending — a stripe is
-  // FIFO, and one producer's pushes to one stripe are ordered.
+  // observes the global pop order directly. One producer's pushes are
+  // ordered and the queue is FIFO, so each producer's k's come out
+  // ascending however the producers interleave.
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
@@ -118,26 +77,21 @@ TEST(StripedQueue, FifoPerStripeWithConcurrentProducers) {
   std::set<std::uint64_t> unique(popped.begin(), popped.end());
   EXPECT_EQ(unique.size(), kProducers * kPerProducer);
 
-  // FIFO per (producer, stripe).
-  std::map<std::pair<std::size_t, std::size_t>, std::uint64_t> last_k;
+  // FIFO per producer.
+  std::vector<std::int64_t> last_k(kProducers, -1);
   for (const std::uint64_t id : popped) {
     const std::size_t p = static_cast<std::size_t>(id / 1000000ULL);
-    const std::uint64_t k = id % 1000000ULL;
-    const auto key = std::make_pair(p, queue.stripe_of(id));
-    const auto it = last_k.find(key);
-    if (it != last_k.end()) {
-      EXPECT_LT(it->second, k)
-          << "stripe FIFO violated for producer " << p;
-    }
-    last_k[key] = k;
+    const auto k = static_cast<std::int64_t>(id % 1000000ULL);
+    EXPECT_LT(last_k[p], k) << "FIFO violated for producer " << p;
+    last_k[p] = k;
   }
 }
 
-TEST(StripedQueue, MpmcStressLosesNothingAndDuplicatesNothing) {
+TEST(InferenceRequestQueue, MpmcStressLosesNothingAndDuplicatesNothing) {
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kConsumers = 4;
   constexpr std::uint64_t kPerProducer = 1000;
-  InferenceRequestQueue queue(256, 8);
+  InferenceRequestQueue queue(256);
 
   std::atomic<std::uint64_t> accepted{0};
   std::vector<std::thread> producers;
@@ -183,17 +137,14 @@ TEST(StripedQueue, MpmcStressLosesNothingAndDuplicatesNothing) {
   EXPECT_EQ(queue.size(), 0u);
 }
 
-TEST(StripedQueue, ShutdownRejectsPushesAndDrainsRemainder) {
-  InferenceRequestQueue queue(64, 4);
-  std::vector<std::uint64_t> pushed;
+TEST(InferenceRequestQueue, ShutdownRejectsPushesAndDrainsRemainder) {
+  InferenceRequestQueue queue(64);
   for (std::uint64_t id = 0; id < 10; ++id) {
-    ASSERT_TRUE(queue.push(request_for(id)));
-    pushed.push_back(id);
+    ASSERT_TRUE(queue.try_push(request_for(id)));
   }
   queue.shutdown();
   EXPECT_TRUE(queue.shut_down());
   EXPECT_FALSE(queue.try_push(request_for(99)));
-  EXPECT_FALSE(queue.push(request_for(99)));
 
   // Everything accepted before shutdown is still drained.
   std::vector<InferenceRequest> out;
@@ -202,41 +153,35 @@ TEST(StripedQueue, ShutdownRejectsPushesAndDrainsRemainder) {
   while ((popped = queue.pop_batch(out, 4, milliseconds(0))) > 0) {
     total += popped;
   }
-  EXPECT_EQ(total, pushed.size());
+  EXPECT_EQ(total, 10u);
   EXPECT_EQ(queue.size(), 0u);
   // Shut down and drained: the blocking pop exits immediately with 0.
   out.clear();
   EXPECT_EQ(queue.pop_batch(out, 4), 0u);
 }
 
-TEST(StripedQueue, ShutdownUnblocksBlockedProducer) {
-  InferenceRequestQueue queue(4, 4);  // 1 slot per stripe
-  const std::size_t target = queue.stripe_of(0);
-  std::vector<std::uint64_t> same_stripe;
-  for (std::uint64_t id = 0; same_stripe.size() < 2; ++id) {
-    if (queue.stripe_of(id) == target) same_stripe.push_back(id);
-  }
-  ASSERT_TRUE(queue.try_push(request_for(same_stripe[0])));
-
-  std::atomic<bool> push_returned{false};
-  std::thread producer([&] {
-    // Blocks: the stripe is full.
-    EXPECT_FALSE(queue.push(request_for(same_stripe[1])));
-    push_returned.store(true);
+TEST(InferenceRequestQueue, ShutdownWakesIdleConsumer) {
+  InferenceRequestQueue queue(4);
+  std::atomic<bool> pop_returned{false};
+  std::thread consumer([&] {
+    std::vector<InferenceRequest> out;
+    // Blocks: the queue is empty and the blocking pop has no timeout.
+    EXPECT_EQ(queue.pop_batch(out, 4), 0u);
+    pop_returned.store(true);
   });
   std::this_thread::sleep_for(milliseconds(20));
-  EXPECT_FALSE(push_returned.load());
+  EXPECT_FALSE(pop_returned.load());
   queue.shutdown();
-  producer.join();
-  EXPECT_TRUE(push_returned.load());
+  consumer.join();
+  EXPECT_TRUE(pop_returned.load());
 }
 
-TEST(StripedQueue, TimedPopTimesOutOnEmptyQueue) {
-  InferenceRequestQueue queue(16, 4);
+TEST(InferenceRequestQueue, TimedPopTimesOutOnEmptyQueue) {
+  InferenceRequestQueue queue(16);
   std::vector<InferenceRequest> out;
   const auto start = std::chrono::steady_clock::now();
   EXPECT_EQ(queue.pop_batch(out, 8, milliseconds(10)), 0u);
-  EXPECT_FALSE(queue.pop(milliseconds(0)).has_value());
+  EXPECT_EQ(queue.pop_batch(out, 8, milliseconds(0)), 0u);
   const auto elapsed = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count();

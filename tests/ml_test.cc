@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "common/rng.h"
 #include "ml/dataset.h"
@@ -235,6 +236,13 @@ TEST(RegressionTree, LoadRejectsBadSplits) {
   EXPECT_EQ(tree.predict(high), 2.0);
 }
 
+TEST(RegressionTree, LoadRejectsHugeNodeCountWithoutAllocatingIt) {
+  // A header claiming 10^9 nodes followed by one: sizing the node array
+  // from the header would allocate ~40 GB before the stream check.
+  std::stringstream huge("1000000000\n1 -1 0 -1 -1 1\n");
+  EXPECT_THROW(RegressionTree::load(huge), std::runtime_error);
+}
+
 // ---------------------------------------------------------------- GBDT
 
 TEST(GbdtClassifier, LearnsXor) {
@@ -352,6 +360,29 @@ TEST(GbdtClassifier, SerializationRoundTrip) {
 TEST(GbdtClassifier, LoadRejectsGarbage) {
   std::stringstream ss("not_a_model at all");
   EXPECT_THROW(GbdtClassifier::load(ss), std::runtime_error);
+}
+
+TEST(GbdtClassifier, LoadRejectsHugeTreeCountAndZeroClasses) {
+  // Header: num_classes num_trees learning_rate, then the trees.
+  const std::string one_tree = "1\n1 -1 0 -1 -1 1\n";
+  std::stringstream huge("gbdt_classifier v1\n3 1000000000 0.1\n" +
+                         one_tree);
+  EXPECT_THROW(GbdtClassifier::load(huge), std::runtime_error);
+  // Zero classes would reach a `% k` with k = 0 in batch scoring.
+  std::stringstream zero_classes("gbdt_classifier v1\n0 1 0.1\n" + one_tree);
+  EXPECT_THROW(GbdtClassifier::load(zero_classes), std::runtime_error);
+  std::stringstream negative_classes("gbdt_classifier v1\n-2 1 0.1\n" +
+                                     one_tree);
+  EXPECT_THROW(GbdtClassifier::load(negative_classes), std::runtime_error);
+  // The same single tree as a one-class model loads.
+  std::stringstream valid("gbdt_classifier v1\n1 1 0.1\n" + one_tree);
+  EXPECT_EQ(GbdtClassifier::load(valid).num_trees(), 1u);
+}
+
+TEST(GbdtRegressor, LoadRejectsHugeTreeCount) {
+  std::stringstream huge(
+      "gbdt_regressor v1\n1000000000 0 0.1\n1\n1 -1 0 -1 -1 1\n");
+  EXPECT_THROW(GbdtRegressor::load(huge), std::runtime_error);
 }
 
 TEST(GbdtClassifier, SplitCountsFavorInformativeFeatures) {

@@ -42,7 +42,6 @@ InferenceRequest request_for(std::uint64_t job_id) {
   InferenceRequest request;
   request.job.job_id = job_id;
   request.job.job_key = "pipe/step";
-  request.enqueued_at = std::chrono::steady_clock::now();
   return request;
 }
 
@@ -85,14 +84,13 @@ TEST(InferenceQueue, FifoOrderAndBoundedCapacity) {
   EXPECT_FALSE(queue.try_push(request_for(4)));  // full: back-pressure
   EXPECT_EQ(queue.size(), 3u);
 
-  const auto first = queue.pop(milliseconds(0));
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->job.job_id, 1u);
+  std::vector<InferenceRequest> out;
+  ASSERT_EQ(queue.pop_batch(out, 1, milliseconds(0)), 1u);
+  EXPECT_EQ(out[0].job.job_id, 1u);
   EXPECT_TRUE(queue.try_push(request_for(4)));  // slot freed
-  for (const std::uint64_t expected : {2u, 3u, 4u}) {
-    const auto popped = queue.pop(milliseconds(0));
-    ASSERT_TRUE(popped.has_value());
-    EXPECT_EQ(popped->job.job_id, expected);
+  ASSERT_EQ(queue.pop_batch(out, 8, milliseconds(0)), 3u);
+  for (std::size_t i = 1; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].job.job_id, i + 1);
   }
 }
 
@@ -113,16 +111,16 @@ TEST(InferenceQueue, PopBatchTakesUpToMax) {
 
 TEST(InferenceQueue, ShutdownRejectsPushesAndDrainsRemainder) {
   InferenceRequestQueue queue(8);
-  ASSERT_TRUE(queue.push(request_for(1)));
-  ASSERT_TRUE(queue.push(request_for(2)));
+  ASSERT_TRUE(queue.try_push(request_for(1)));
+  ASSERT_TRUE(queue.try_push(request_for(2)));
   queue.shutdown();
   EXPECT_TRUE(queue.shut_down());
   EXPECT_FALSE(queue.try_push(request_for(3)));
-  EXPECT_FALSE(queue.push(request_for(3)));
   // Queued work is still drained after shutdown.
-  EXPECT_TRUE(queue.pop(milliseconds(0)).has_value());
-  EXPECT_TRUE(queue.pop(milliseconds(0)).has_value());
-  EXPECT_FALSE(queue.pop(milliseconds(0)).has_value());
+  std::vector<InferenceRequest> out;
+  EXPECT_EQ(queue.pop_batch(out, 1, milliseconds(0)), 1u);
+  EXPECT_EQ(queue.pop_batch(out, 1, milliseconds(0)), 1u);
+  EXPECT_EQ(queue.pop_batch(out, 1, milliseconds(0)), 0u);
 }
 
 // ------------------------------------------------------------------ Batcher
@@ -395,7 +393,7 @@ TEST(PlacementService, ThreadedModeServesHintsBeforeDeadline) {
   config.queue_capacity = 1024;
   config.max_batch = 32;
   config.flush_deadline = milliseconds(1);
-  config.request_deadline = milliseconds(5000);  // generous: no misses
+  config.request_deadline = 5.0;  // generous: no misses
   config.fallback_num_categories = f.model->num_categories();
   PlacementService service(f.registry, config);
 
@@ -412,10 +410,9 @@ TEST(PlacementService, ThreadedModeServesHintsBeforeDeadline) {
   const auto stats = service.stats();
   EXPECT_EQ(stats.hits, jobs.size());
   EXPECT_EQ(stats.misses, 0u);
-  EXPECT_GE(stats.wall_latency_max_ms, 0.0);
-  // Threaded mode accounts wall-clock only; the virtual counters must
-  // never mix into it.
-  EXPECT_EQ(stats.virtual_latency_total_s, 0.0);
+  // Steady-clock enqueue -> publish time, in seconds.
+  EXPECT_GT(stats.latency_max_s, 0.0);
+  EXPECT_LE(stats.mean_latency_s(), stats.latency_max_s);
 }
 
 // ---------------------------------------------------------- sharded serving
@@ -441,7 +438,6 @@ TEST(ShardedService, PerShardCountersSumToAggregate) {
   auto& f = fixture();
   auto config = f.deterministic_config();
   config.num_shards = 4;
-  config.queue_stripes = 2;
   PlacementService service(f.registry, config);
   const auto& jobs = f.split.test.jobs();
   ASSERT_EQ(service.enqueue_all(jobs), jobs.size());
@@ -484,7 +480,6 @@ TEST(ShardedService, DeterministicHintsAreBitIdenticalAcrossShardCounts) {
   for (const std::size_t shards : {2u, 4u}) {
     auto config = f.deterministic_config();
     config.num_shards = shards;
-    config.queue_stripes = 4;
     PlacementService service(f.registry, config);
     ASSERT_EQ(service.enqueue_all(jobs), jobs.size());
     for (const auto& job : jobs) {
@@ -500,12 +495,11 @@ TEST(ShardedService, ThreadedShardsServeEveryHintBeforeDeadline) {
   auto& f = fixture();
   PlacementServiceConfig config;
   config.num_shards = 4;
-  config.queue_stripes = 4;
   config.num_threads = 1;  // 4 workers total, one per shard
   config.queue_capacity = 1024;
   config.max_batch = 32;
   config.flush_deadline = milliseconds(1);
-  config.request_deadline = milliseconds(5000);  // generous: no misses
+  config.request_deadline = 5.0;  // generous: no misses
   config.fallback_num_categories = f.model->num_categories();
   PlacementService service(f.registry, config);
 
@@ -533,7 +527,6 @@ TEST(ShardedService, ShutdownDrainsAllShards) {
   auto& f = fixture();
   PlacementServiceConfig config;
   config.num_shards = 4;
-  config.queue_stripes = 2;
   config.num_threads = 1;
   config.queue_capacity = 1024;
   config.max_batch = 16;
@@ -563,12 +556,11 @@ TEST(ShardedService, StatsAggregationIsSafeDuringLoad) {
   auto& f = fixture();
   PlacementServiceConfig config;
   config.num_shards = 2;
-  config.queue_stripes = 2;
   config.num_threads = 1;
   config.queue_capacity = 1024;
   config.max_batch = 16;
   config.flush_deadline = milliseconds(1);
-  config.request_deadline = milliseconds(5000);
+  config.request_deadline = 5.0;
   config.fallback_num_categories = f.model->num_categories();
   PlacementService service(f.registry, config);
 
@@ -732,8 +724,7 @@ TEST(VirtualTime, ZeroLatencyClockMatchesClocklessHints) {
   for (const auto& stats : {clockless.stats(), clocked.stats()}) {
     EXPECT_EQ(stats.on_time, jobs.size());
     EXPECT_EQ(stats.late, 0u);
-    EXPECT_EQ(stats.virtual_latency_total_s, 0.0);
-    EXPECT_EQ(stats.wall_latency_total_ms, 0.0);
+    EXPECT_EQ(stats.latency_total_s, 0.0);
   }
 }
 
@@ -778,7 +769,7 @@ TEST(VirtualTime, TimelinessAccountsForEverySubmittedRequest) {
   clocked.queue_capacity = jobs.size() / 2;
   clocked.clock = std::make_shared<sim::SimClock>();
   clocked.latency_model = make_fixed_latency_model(5.0);
-  clocked.virtual_request_deadline = 1.0;
+  clocked.request_deadline = 1.0;
   PlacementService slow(f.registry, clocked);
   const auto late_stats = check(slow, clocked.clock);
   EXPECT_EQ(late_stats.late, late_stats.enqueued);
@@ -790,7 +781,7 @@ TEST(VirtualTime, HintWithinDeadlineConsumedMidWait) {
   auto config = f.deterministic_config();
   config.clock = std::make_shared<sim::SimClock>();
   config.latency_model = make_fixed_latency_model(0.5);
-  config.virtual_request_deadline = 1.0;
+  config.request_deadline = 1.0;
   PlacementService service(f.registry, config);
 
   const auto& job = f.split.test.jobs().front();
@@ -802,11 +793,7 @@ TEST(VirtualTime, HintWithinDeadlineConsumedMidWait) {
   EXPECT_EQ(stats.on_time, 1u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.late, 0u);
-  EXPECT_NEAR(stats.mean_virtual_latency_s(), 0.5, 1e-9);
-  // Virtual-time mode accounts virtual seconds only; the wall-clock
-  // counters must stay untouched (the ISSUE-4 unit-mixing bugfix).
-  EXPECT_EQ(stats.wall_latency_total_ms, 0.0);
-  EXPECT_EQ(stats.wall_latency_max_ms, 0.0);
+  EXPECT_NEAR(stats.mean_latency_s(), 0.5, 1e-9);
 }
 
 TEST(VirtualTime, HintBeyondDeadlineIsLateAndDeliveredByEvent) {
@@ -814,7 +801,7 @@ TEST(VirtualTime, HintBeyondDeadlineIsLateAndDeliveredByEvent) {
   auto config = f.deterministic_config();
   config.clock = std::make_shared<sim::SimClock>();
   config.latency_model = make_fixed_latency_model(5.0);
-  config.virtual_request_deadline = 1.0;
+  config.request_deadline = 1.0;
   PlacementService service(f.registry, config);
 
   const auto& job = f.split.test.jobs().front();

@@ -88,9 +88,10 @@ RATIOS = [
     },
     {
         # Shard scaling of the serving path: requests/sec at 4 shards over
-        # 1 shard. ~1.0 on a single-core host (lanes time-slice). The one
-        # multi-core number on record is a single run on a 4-vCPU host:
-        # 1.49x. The >= 2x scaling bar is unconfirmed on multi-core hardware.
+        # 1 shard. ~1.0 on a single-core host (lanes time-slice). On a
+        # 4-vCPU host: 1.20-1.31x with single-mutex shard queues (1.43-1.52x
+        # with the earlier lock-striped ones, whose 1-shard rate was lower).
+        # The >= 2x scaling bar is unconfirmed on multi-core hardware.
         "key": "serving_throughput_4v1_x",
         "numerator": "BM_ServingThroughput/4/real_time",
         "denominator": "BM_ServingThroughput/1/real_time",
