@@ -177,7 +177,6 @@ MixedDeploymentResult MixedDeployment::run_adaptive_ranking(
   options.adaptive.num_categories = model->num_categories();
   // One batched inference pass over the replayed jobs; the cache server's
   // per-arrival decisions then consume precomputed hints.
-  options.hints = policy::HintSource::kPrecomputed;
   options.precompute_jobs = &test;
   storage::CacheServer server(cap, policy::make_byom_policy(registry, options));
   for (const auto& j : test) server.submit(j);

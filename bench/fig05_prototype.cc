@@ -120,7 +120,6 @@ int main() {
     ar_runs.push_back(pool.submit([&test, registry, acfg, cap] {
       policy::ByomPolicyOptions options;
       options.adaptive = acfg;
-      options.hints = policy::HintSource::kPrecomputed;
       options.precompute_jobs = &test;
       return run_deployment(test, policy::make_byom_policy(registry, options),
                             cap);

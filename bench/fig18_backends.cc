@@ -2,7 +2,7 @@
 // the served adaptive policy when each workload brings a different model
 // *backend* — the paper's GBDT, a lightweight logistic regression, or a
 // plain frequency table (core/model_backend.h) — mixed per pipeline through
-// the sharded hot-swappable registry, with daily retrain events installing
+// the hot-swappable registry, with daily retrain events installing
 // freshly trained backends on the virtual timeline.
 //
 // Expectations: every backend (and every mix) lands between the

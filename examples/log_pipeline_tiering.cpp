@@ -56,7 +56,7 @@ int main() {
   // Phase 2 (offline): the team trains ITS OWN model on its history and
   // registers it for its pipelines only.
   auto model = std::make_shared<core::CategoryModel>(
-      core::train_byom_model(history));
+      core::CategoryModel::train(history));
   auto registry = std::make_shared<core::ModelRegistry>();
   for (const auto& p : pipelines) registry->register_model(p.name, model);
   std::printf("== phase 2: trained a %d-category model (%zu trees) ==\n",
@@ -80,7 +80,6 @@ int main() {
 
   policy::ByomPolicyOptions options;
   options.adaptive.num_categories = model->num_categories();
-  options.hints = policy::HintSource::kCustom;
   options.custom_provider = serving::make_served_provider(service);
   const std::uint64_t ssd_quota = 64ULL << 30;  // 64 GiB of SSD for the team
   storage::CacheServer byom_server(ssd_quota,

@@ -32,7 +32,7 @@ int main() {
   core::CategoryModelConfig model_config;
   model_config.num_categories = 15;
   auto cluster_model = std::make_shared<core::CategoryModel>(
-      core::train_byom_model(train.jobs(), model_config));
+      core::CategoryModel::train(train.jobs(), model_config));
 
   auto registry = std::make_shared<core::ModelRegistry>();
   registry->set_default_model(cluster_model);
@@ -51,7 +51,7 @@ int main() {
           small.gbdt.num_rounds = 10;
           registry->register_model(
               pipeline, std::make_shared<core::CategoryModel>(
-                            core::train_byom_model(own_jobs, small)));
+                            core::CategoryModel::train(own_jobs, small)));
           ++own_model;
           break;
         }

@@ -32,7 +32,7 @@ int main() {
   // 2. The workload brings its own model: a 15-class GBDT importance
   //    ranking trained purely on application-level features.
   const auto model = std::make_shared<core::CategoryModel>(
-      core::train_byom_model(train.jobs()));
+      core::CategoryModel::train(train.jobs()));
   std::printf("model: %zu trees, top-1 accuracy %.2f on the test week\n",
               model->classifier().num_trees(),
               model->top1_accuracy(test.jobs()));

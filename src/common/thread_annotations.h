@@ -74,8 +74,8 @@
   BYOM_THREAD_ANNOTATION_ATTRIBUTE(no_thread_safety_analysis)
 
 // ---------------------------------------------------------------------------
-// Documentation markers (expand to nothing on every compiler). Clang's
-// analysis has no vocabulary for these disciplines, so the contract is
+// Documentation marker (expands to nothing on every compiler). Clang's
+// analysis has no vocabulary for this discipline, so the contract is
 // recorded where the data lives and enforced by TSan/tests instead.
 
 // The annotated member/class is not internally synchronized: exactly one
@@ -83,9 +83,3 @@
 // core::StalenessSchedule — are single-threaded by design; each simulation
 // cell owns its own instances).
 #define BYOM_EXTERNALLY_SYNCHRONIZED
-
-// RCU/epoch publication discipline: writers swap the annotated shared_ptr
-// slot with std::atomic_store under their write mutex; readers
-// std::atomic_load it with NO lock and keep the snapshot alive until done
-// (core/model_registry.h). Neither side may touch the slot any other way.
-#define BYOM_RCU_PUBLISHED

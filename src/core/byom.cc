@@ -86,9 +86,4 @@ CategoryHints precompute_categories(const ModelRegistry& registry,
   return hints;
 }
 
-CategoryModel train_byom_model(const std::vector<trace::Job>& history,
-                               const CategoryModelConfig& config) {
-  return CategoryModel::train(history, config);
-}
-
 }  // namespace byom::core

@@ -5,7 +5,7 @@
 // category hint produced by its workload's model; the storage layer runs
 // the adaptive category selection algorithm over those hints.
 //
-// The registry (core/model_registry.h: ShardedModelRegistry, holding
+// The registry (core/model_registry.h: ModelRegistry, holding
 // pluggable ModelBackend instances — GBDT, logistic regression, frequency
 // table, core/model_backend.h) keeps one backend per workload (keyed by
 // pipeline name) plus an optional cluster-default backend. The registry
@@ -51,9 +51,5 @@ CategoryHints precompute_categories(
     const ModelRegistry& registry, const std::vector<trace::Job>& jobs,
     int fallback_num_categories,
     const features::FeatureMatrix* matrix = nullptr);
-
-// One-call offline training for a workload/cluster history.
-CategoryModel train_byom_model(const std::vector<trace::Job>& history,
-                               const CategoryModelConfig& config = {});
 
 }  // namespace byom::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "ml/dataset_builder.h"
 #include "ml/metrics.h"
@@ -143,6 +144,13 @@ CategoryModel CategoryModel::load(std::istream& in) {
   CategoryModel model;
   model.labeler_ = CategoryLabeler::load(in);
   model.classifier_ = ml::GbdtClassifier::load(in);
+  // predict_category scores a num_features()-float row; a split past it
+  // would read out of bounds.
+  const std::size_t width = model.extractor_.num_features();
+  if (model.classifier_.compiled_forest().row_width() > width) {
+    throw std::runtime_error("CategoryModel::load: split feature outside the " +
+                             std::to_string(width) + "-feature row");
+  }
   return model;
 }
 

@@ -3,103 +3,63 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/mutex.h"
-#include "common/rng.h"
-
 namespace byom::core {
 
-ShardedModelRegistry::ShardedModelRegistry(std::size_t num_shards) {
-  if (num_shards == 0) {
-    throw std::invalid_argument("ShardedModelRegistry: num_shards >= 1");
-  }
-  shards_.reserve(num_shards);
-  for (std::size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-ShardedModelRegistry::Shard& ShardedModelRegistry::shard_for(
-    const std::string& pipeline_name) const {
-  return *shards_[common::fnv1a(pipeline_name) % shards_.size()];
-}
-
-void ShardedModelRegistry::register_model(const std::string& pipeline_name,
-                                          ModelBackendPtr backend) {
+void ModelRegistry::register_model(const std::string& pipeline_name,
+                                   ModelBackendPtr backend) {
   if (!backend) {
     throw std::invalid_argument("register_model: null backend");
   }
-  Shard& shard = shard_for(pipeline_name);
   {
-    // Copy-on-write under the writer-only mutex: readers keep resolving
-    // against the old snapshot until the atomic_store below publishes the
-    // new one; the old map is reclaimed when its last reader drops it.
-    common::MutexLock lock(shard.write_mutex);
-    const ModelMapPtr current = std::atomic_load(&shard.snapshot);
-    auto next = current ? std::make_shared<ModelMap>(*current)
-                        : std::make_shared<ModelMap>();
-    (*next)[pipeline_name] = std::move(backend);
-    // atomic: release — publishes the fully built map; pairs with the
-    // acquire snapshot loads in lookup() / num_models()
-    std::atomic_store_explicit(&shard.snapshot, ModelMapPtr(std::move(next)),
-                               std::memory_order_release);
+    common::MutexLock lock(mutex_);
+    models_[pipeline_name].swap(backend);
+    ++epoch_;
   }
-  // atomic: acq_rel — epoch bump pairs with epoch()'s acquire load, so a
-  // reader that observes the new epoch also observes the snapshot
-  // published above
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  swaps_.fetch_add(1);
+  // The replaced backend (if any) is released here, outside the lock.
 }
 
-void ShardedModelRegistry::register_model(
-    const std::string& pipeline_name,
-    std::shared_ptr<const CategoryModel> model) {
+void ModelRegistry::register_model(const std::string& pipeline_name,
+                                   std::shared_ptr<const CategoryModel> model) {
   register_model(pipeline_name, make_gbdt_backend(std::move(model)));
 }
 
-void ShardedModelRegistry::set_default_model(ModelBackendPtr backend) {
+void ModelRegistry::set_default_model(ModelBackendPtr backend) {
   if (!backend) {
     throw std::invalid_argument("set_default_model: null backend");
   }
-  std::atomic_store(&default_model_, std::move(backend));
-  // atomic: acq_rel — pairs with epoch()'s acquire load (see
-  // register_model)
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  swaps_.fetch_add(1);
+  {
+    common::MutexLock lock(mutex_);
+    default_model_.swap(backend);
+    ++epoch_;
+  }
+  // The replaced backend (if any) is released here, outside the lock.
 }
 
-void ShardedModelRegistry::set_default_model(
+void ModelRegistry::set_default_model(
     std::shared_ptr<const CategoryModel> model) {
   set_default_model(make_gbdt_backend(std::move(model)));
 }
 
-// hotpath: the million-RPS read path — lock-free snapshot load plus one
-// hash probe; shared_ptr refcount traffic only, no allocation.
-ModelBackendPtr ShardedModelRegistry::lookup(const trace::Job& job) const {
-  const Shard& shard = shard_for(job.pipeline_name);
-  // atomic: acquire — pairs with register_model's release publish; a
-  // non-null snapshot is a fully constructed map
-  if (const ModelMapPtr snapshot = std::atomic_load_explicit(
-          &shard.snapshot, std::memory_order_acquire)) {
-    const auto it = snapshot->find(job.pipeline_name);
-    if (it != snapshot->end()) return it->second;
-  }
-  return std::atomic_load(&default_model_);
+// hotpath: one hash probe under the mutex; refcount traffic, no allocation.
+ModelBackendPtr ModelRegistry::lookup(const trace::Job& job) const {
+  common::MutexLock lock(mutex_);
+  const auto it = models_.find(job.pipeline_name);
+  return it != models_.end() ? it->second : default_model_;
 }
 
-std::size_t ShardedModelRegistry::num_models() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    // atomic: acquire — pairs with register_model's release publish
-    if (const ModelMapPtr snapshot = std::atomic_load_explicit(
-            &shard->snapshot, std::memory_order_acquire)) {
-      total += snapshot->size();
-    }
-  }
-  return total;
+std::size_t ModelRegistry::num_models() const {
+  common::MutexLock lock(mutex_);
+  return models_.size();
 }
 
-bool ShardedModelRegistry::has_default() const {
-  return std::atomic_load(&default_model_) != nullptr;
+bool ModelRegistry::has_default() const {
+  common::MutexLock lock(mutex_);
+  return default_model_ != nullptr;
+}
+
+std::uint64_t ModelRegistry::epoch() const {
+  common::MutexLock lock(mutex_);
+  return epoch_;
 }
 
 }  // namespace byom::core

@@ -1,42 +1,25 @@
-// ShardedModelRegistry — the per-workload model store of the BYOM design,
-// rebuilt for a serving fleet: striped shards keyed by a hash of the
-// pipeline name (so registrations for different workloads never contend),
-// epoch-based RCU-style publication per shard, and hot-swap semantics —
-// register_model atomically replaces the backend serving a pipeline while
-// concurrent lookups from PlacementService worker threads keep running on
-// whichever backend they already hold.
+// ModelRegistry — the per-workload model store of the BYOM design (paper
+// section 2.3, Figure 3): one backend per workload (pipeline name) plus an
+// optional cluster default, hot-swappable while PlacementService workers
+// look backends up.
 //
-// Read path (the million-RPS serving contract): lookup() takes NO lock.
-// Each shard publishes an immutable snapshot of its pipeline->backend map
-// through an atomic shared_ptr slot; readers atomic_load the current
-// snapshot and search it. Writers copy the snapshot, mutate the copy, and
-// atomic_store it back under a writer-only mutex, then advance the global
-// epoch counter — the ScaleStore optimistic-latching idea translated to
-// shared_ptr RCU: the grace period is "last reader drops its snapshot", at
-// which point the superseded map (and any backend only it referenced) is
-// reclaimed. A reader can therefore never observe a torn map or a
-// stale-freed backend, and a hot-swap can never stall the read path.
+// One common::Mutex guards the map, the default and the epoch. lookup()
+// copies the backend's shared_ptr out under the lock, so a reader keeps it
+// alive through its inference even if a writer swaps the registration
+// mid-flight. Writers overwrite one entry in place and drop the replaced
+// backend after unlocking, so no backend destructor runs under the lock.
+// Retrain events thereby *install* freshly trained backends
+// (core/staleness.h hook, harness/experiment.h wiring).
 //
-// Safety contract: lookup() returns a shared_ptr, never a raw pointer. A
-// reader that resolved a backend keeps it alive for the duration of its
-// inference even if a writer swaps the registration mid-flight; the old
-// backend is destroyed when the last in-flight reader drops it. This is
-// what lets retrain events on the virtual timeline *install* freshly
-// trained backends (core/staleness.h hook, harness/experiment.h wiring) instead
-// of merely resetting a staleness counter.
-//
-// Granularity mirrors the paper: one default backend per cluster ("the
-// paper trains one joint model per cluster"), optionally overridden per
-// pipeline ("finer granularities are not precluded" — each workload brings
-// its own model, of whatever ModelBackend kind it likes).
+// Granularity mirrors the paper: one default per cluster ("the paper
+// trains one joint model per cluster"), optionally overridden per pipeline
+// ("finer granularities are not precluded").
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -45,79 +28,38 @@
 
 namespace byom::core {
 
-class ShardedModelRegistry {
+class ModelRegistry {
  public:
-  static constexpr std::size_t kDefaultShards = 8;
-
-  explicit ShardedModelRegistry(std::size_t num_shards = kDefaultShards);
-
   // Installs (or hot-swaps) the backend serving one workload (pipeline).
-  // Safe to call while other threads lookup(): readers either see the old
-  // snapshot or the new one, never a torn state, and never block on the
-  // swap.
   void register_model(const std::string& pipeline_name,
                       ModelBackendPtr backend);
   // Convenience: wraps a trained CategoryModel in the GBDT backend.
   void register_model(const std::string& pipeline_name,
                       std::shared_ptr<const CategoryModel> model);
 
-  // Cluster-wide fallback backend; an atomic shared_ptr swap.
+  // Installs (or hot-swaps) the cluster-wide fallback backend.
   void set_default_model(ModelBackendPtr backend);
   void set_default_model(std::shared_ptr<const CategoryModel> model);
 
   // The backend responsible for this job: exact pipeline match, else the
-  // default, else nullptr. Lock-free — reads the shard's epoch-published
-  // snapshot. The returned handle stays valid across concurrent
-  // re-registrations (see header comment).
+  // default, else nullptr. The returned handle stays valid across
+  // concurrent re-registrations (see header comment).
   ModelBackendPtr lookup(const trace::Job& job) const;
 
   std::size_t num_models() const;
   bool has_default() const;
-  std::size_t num_shards() const { return shards_.size(); }
-  // Total successful register_model/set_default_model installations —
-  // retrain machinery and tests use this to prove swaps really happened.
-  std::uint64_t swap_count() const { return swaps_.load(); }
-  // Publication epoch: advanced after every snapshot/default swap, so
-  // readers (and tests) can cheaply detect "the registry changed since I
-  // last looked" without touching any shard.
-  std::uint64_t epoch() const {
-    // atomic: acquire — pairs with the acq_rel epoch bump in
-    // register_model/set_default_model; observing the bump implies the
-    // snapshot swap that preceded it is visible
-    return epoch_.load(std::memory_order_acquire);
-  }
+  // Installations so far: advances on every register/set_default call.
+  std::uint64_t epoch() const;
 
  private:
-  using ModelMap = std::unordered_map<std::string, ModelBackendPtr>;
-  using ModelMapPtr = std::shared_ptr<const ModelMap>;
-
-  struct Shard {
-    // Serializes writers only; readers never touch it. Not a GUARDED_BY
-    // relationship: the snapshot below is *written* under this mutex but
-    // *read* lock-free, a discipline Clang's analysis has no annotation
-    // for — BYOM_RCU_PUBLISHED documents it instead.
-    // lint:allow(guarded-mutex) writer-side of an RCU slot, readers are
-    // lock-free by design
-    common::Mutex write_mutex;
-    // Immutable epoch-published snapshot; accessed ONLY with
-    // std::atomic_load (readers, no lock) / std::atomic_store (writers,
-    // under write_mutex). Null until the first registration.
-    ModelMapPtr snapshot BYOM_RCU_PUBLISHED;
-  };
-
-  Shard& shard_for(const std::string& pipeline_name) const;
-
-  // unique_ptr per shard: Shard holds a mutex and must not move when the
-  // vector is built.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // Accessed ONLY via std::atomic_load/atomic_store (lock-free swap slot).
-  ModelBackendPtr default_model_ BYOM_RCU_PUBLISHED;
-  std::atomic<std::uint64_t> swaps_{0};
-  std::atomic<std::uint64_t> epoch_{0};
+  mutable common::Mutex mutex_;
+  std::unordered_map<std::string, ModelBackendPtr> models_
+      BYOM_GUARDED_BY(mutex_);
+  ModelBackendPtr default_model_ BYOM_GUARDED_BY(mutex_);
+  std::uint64_t epoch_ BYOM_GUARDED_BY(mutex_) = 0;
 };
 
-// The historical name: everything upstream of the registry (providers,
-// serving, policies) talks to the sharded implementation now.
-using ModelRegistry = ShardedModelRegistry;
+// The former name of the registry, kept as an alias for code that spells it.
+using ShardedModelRegistry = ModelRegistry;
 
 }  // namespace byom::core

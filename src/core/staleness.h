@@ -88,7 +88,7 @@ class BYOM_EXTERNALLY_SYNCHRONIZED StalenessSchedule {
   // The deployment side of a retrain: called by on_retrain(t) *before* the
   // age reset, so the hook observes the stale epoch it is replacing. The
   // factory wires this to hot-swap freshly trained ModelBackends into the
-  // serving ShardedModelRegistry (harness/experiment.h) — a retrain genuinely
+  // serving ModelRegistry (harness/experiment.h) — a retrain genuinely
   // installs a new model instead of only resetting this schedule's counter.
   void set_retrain_hook(std::function<void(double)> hook);
 

@@ -212,9 +212,9 @@ core::ModelBackendPtr MethodFactory::pipeline_backend(
   return backend_cache_.emplace(key, std::move(backend)).first->second;
 }
 
-std::shared_ptr<core::ShardedModelRegistry> MethodFactory::make_registry(
+std::shared_ptr<core::ModelRegistry> MethodFactory::make_registry(
     const MakeOptions& options) const {
-  auto registry = std::make_shared<core::ShardedModelRegistry>();
+  auto registry = std::make_shared<core::ModelRegistry>();
   registry->set_default_model(shared_backend(options.backend));
   for (const auto& [pipeline, kind] : options.pipeline_backends) {
     registry->register_model(pipeline, pipeline_backend(kind, pipeline));

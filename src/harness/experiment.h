@@ -137,7 +137,7 @@ struct PolicyContext {
   std::shared_ptr<core::StalenessSchedule> staleness;
   // The serving registry behind registry-backed cells (hot-swapped by
   // retrain events); null for methods that do not use one.
-  std::shared_ptr<core::ShardedModelRegistry> registry;
+  std::shared_ptr<core::ModelRegistry> registry;
 };
 
 // A simulation cell: the policy context plus the window hooks a driver fires
@@ -157,7 +157,7 @@ struct StreamingCell {
   // Offline-served cells: each window's jobs enqueue here before replay.
   std::shared_ptr<serving::PlacementService> window_enqueue;
   // Registry behind window_hints' precompute (null when unused).
-  std::shared_ptr<core::ShardedModelRegistry> registry;
+  std::shared_ptr<core::ModelRegistry> registry;
   int num_categories = 0;  // precompute width for window_hints
 
   // Fires the window hooks for the next window of jobs (arrival order)
@@ -211,7 +211,7 @@ class MethodFactory {
   // options.backend plus every options.pipeline_backends override. A fresh
   // registry per call (cells hot-swap independently), sharing the cached
   // trained backends.
-  std::shared_ptr<core::ShardedModelRegistry> make_registry(
+  std::shared_ptr<core::ModelRegistry> make_registry(
       const MakeOptions& options) const;
 
   // True when the cell's backend selection differs from the plain shared

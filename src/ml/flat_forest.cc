@@ -116,6 +116,11 @@ FlatForest FlatForest::compile(const std::vector<RegressionTree>& trees,
   return forest;
 }
 
+std::size_t FlatForest::row_width() const {
+  if (feature_.empty()) return 0;
+  return std::size_t{*std::max_element(feature_.begin(), feature_.end())} + 1;
+}
+
 // hotpath: compiled single-row scoring — zero allocation; the traversal
 // step is branch-light index arithmetic over the SoA arena.
 void FlatForest::score_into(const float* row, double* out) const {

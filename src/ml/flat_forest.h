@@ -70,6 +70,9 @@ class FlatForest {
   std::size_t num_trees() const { return roots_.size(); }
   std::size_t num_nodes() const { return left_.size(); }
   std::size_t num_leaves() const { return leaf_value_.size(); }
+  // Floats a scored row must hold: one past the largest split feature
+  // (leaf slots carry feature 0); 0 for an empty forest.
+  std::size_t row_width() const;
 
   // Raw per-class scores for one row: out[0 .. num_classes). Bit-identical
   // to GbdtClassifier::scores(); allocation-free.

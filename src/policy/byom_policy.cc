@@ -11,35 +11,18 @@ std::unique_ptr<AdaptiveCategoryPolicy> make_byom_policy(
   if (!registry) {
     throw std::invalid_argument("make_byom_policy: null registry");
   }
-  auto sync = core::make_registry_provider(registry);
-  core::CategoryProviderPtr provider;
-  switch (options.hints) {
-    case HintSource::kSync:
-      provider = std::move(sync);
-      break;
-    case HintSource::kPrecomputed: {
-      if (options.precompute_jobs == nullptr) {
-        throw std::invalid_argument(
-            "make_byom_policy: kPrecomputed requires precompute_jobs");
-      }
-      auto hints =
-          std::make_shared<const core::CategoryHints>(core::precompute_categories(
-              *registry, *options.precompute_jobs,
-              options.adaptive.num_categories));
-      provider = core::make_fallback_chain(
-          {core::make_precomputed_provider(std::move(hints)), std::move(sync)});
-      break;
-    }
-    case HintSource::kCustom: {
-      if (!options.custom_provider) {
-        throw std::invalid_argument(
-            "make_byom_policy: kCustom requires custom_provider");
-      }
-      provider = core::make_fallback_chain(
-          {options.custom_provider, std::move(sync)});
-      break;
-    }
+  std::vector<core::CategoryProviderPtr> chain;
+  if (options.custom_provider) chain.push_back(options.custom_provider);
+  if (options.precompute_jobs != nullptr) {
+    chain.push_back(core::make_precomputed_provider(
+        std::make_shared<const core::CategoryHints>(core::precompute_categories(
+            *registry, *options.precompute_jobs,
+            options.adaptive.num_categories))));
   }
+  chain.push_back(core::make_registry_provider(registry));
+  core::CategoryProviderPtr provider =
+      chain.size() == 1 ? chain.front()
+                        : core::make_fallback_chain(std::move(chain));
   return std::make_unique<AdaptiveCategoryPolicy>(
       options.name, std::move(provider), options.adaptive);
 }

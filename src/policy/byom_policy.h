@@ -6,17 +6,17 @@
 // broken model degrades one workload instead of the whole cluster (paper
 // section 2.3: "a model failure only affects one workload").
 //
-// Provider selection is a ByomPolicyOptions knob:
-//   kSync        per-job synchronous registry inference (default)
-//   kPrecomputed one batched predict_batch pass over known upcoming jobs,
-//                consumed as a hint table (offline sweeps)
-//   kCustom      caller-supplied provider placed ahead of the sync path,
-//                e.g. serving::make_served_provider() for the async
-//                request-queue -> batcher -> model serving loop
+// The provider chain follows from what ByomPolicyOptions supplies, asked in
+// this order until one answers:
+//   custom_provider  a caller-supplied provider, e.g.
+//                    serving::make_served_provider() for the async
+//                    request-queue -> batcher -> model serving loop
+//   precompute_jobs  one batched predict_batch pass over known upcoming
+//                    jobs, consumed as a hint table (offline sweeps)
+//   the registry     per-job synchronous inference (always last)
 //
 // make_byom_policy(registry, AdaptiveConfig) is a convenience overload for
-// the default (sync) hint source; everything else goes through
-// ByomPolicyOptions.
+// the sync-only chain; everything else goes through ByomPolicyOptions.
 //
 // This lives in policy/ (not core/) by the layer contract
 // (tools/layers.json): core publishes models and providers; the policy
@@ -35,30 +35,26 @@
 
 namespace byom::policy {
 
-// Which provider sits in front of the policy (see header comment).
-enum class HintSource { kSync, kPrecomputed, kCustom };
-
 struct ByomPolicyOptions {
   AdaptiveConfig adaptive;
-  HintSource hints = HintSource::kSync;
-  // kPrecomputed: the known upcoming jobs, pre-categorized in one batched
-  // pass at construction time (borrowed only for the make_byom_policy
-  // call). Jobs outside the set still take the sync per-job path.
+  // If set, the known upcoming jobs, pre-categorized in one batched pass at
+  // construction time (borrowed only for the make_byom_policy call). Jobs
+  // outside the set still take the sync per-job path.
   const std::vector<trace::Job>* precompute_jobs = nullptr;
-  // kCustom: consulted ahead of the sync registry path (e.g. a served or
-  // noisy provider); when it declines, the sync path answers.
+  // If set, consulted first (e.g. a served or noisy provider); when it
+  // declines, the rest of the chain answers.
   core::CategoryProviderPtr custom_provider;
   std::string name = "BYOM";
 };
 
 // The one constructor: builds the storage-layer Algorithm-1 policy for a
-// registry of application models, with the provider chain selected by
-// `options`.
+// registry of application models, with the provider chain derived from
+// `options` (see header comment).
 std::unique_ptr<AdaptiveCategoryPolicy> make_byom_policy(
     std::shared_ptr<const core::ModelRegistry> registry,
     const ByomPolicyOptions& options = {});
 
-// Convenience: make_byom_policy with default (sync) hints.
+// Convenience: make_byom_policy with sync registry hints only.
 std::unique_ptr<AdaptiveCategoryPolicy> make_byom_policy(
     std::shared_ptr<const core::ModelRegistry> registry,
     const AdaptiveConfig& config);

@@ -2,7 +2,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/units.h"
 #include "core/byom.h"
@@ -195,6 +199,35 @@ TEST_F(CategoryModelTest, FileRoundTrip) {
   std::filesystem::remove(path);
 }
 
+// A model file whose split names feature 60 would make predict_category
+// read past its 60-float feature row; load must reject it.
+TEST_F(CategoryModelTest, LoadRejectsSplitFeatureOutsideTheRow) {
+  const std::size_t width = model().extractor().num_features();
+  ASSERT_EQ(width, 60u);
+  std::stringstream saved;
+  model().save(saved);
+  std::ostringstream edited;
+  bool in_classifier = false;
+  bool rewritten = false;
+  for (std::string line; std::getline(saved, line);) {
+    in_classifier = in_classifier || line.rfind("gbdt_classifier", 0) == 0;
+    std::istringstream fields(line);
+    std::vector<std::string> f{std::istream_iterator<std::string>(fields),
+                               std::istream_iterator<std::string>()};
+    // Tree node lines read "leaf feature threshold left right value".
+    if (in_classifier && !rewritten && f.size() == 6 && f[0] == "0") {
+      f[1] = std::to_string(width);
+      line = f[0] + ' ' + f[1] + ' ' + f[2] + ' ' + f[3] + ' ' + f[4] + ' ' +
+             f[5];
+      rewritten = true;
+    }
+    edited << line << '\n';
+  }
+  ASSERT_TRUE(rewritten);
+  std::istringstream corrupt(edited.str());
+  EXPECT_THROW(CategoryModel::load(corrupt), std::runtime_error);
+}
+
 TEST_F(CategoryModelTest, BatchPredictionMatchesPerJob) {
   const auto t = cluster_trace(0, 407);
   const auto& jobs = t.jobs();
@@ -241,7 +274,7 @@ TEST(ModelRegistry, LookupPrefersPipelineModel) {
       make_gbdt_backend(std::make_shared<CategoryModel>());
   const auto default_backend =
       make_gbdt_backend(std::make_shared<CategoryModel>());
-  ShardedModelRegistry registry;
+  ModelRegistry registry;
   registry.register_model("pipe_a", pipeline_backend);
   registry.set_default_model(default_backend);
   trace::Job j;
@@ -252,24 +285,24 @@ TEST(ModelRegistry, LookupPrefersPipelineModel) {
 }
 
 TEST(ModelRegistry, LookupWithoutAnyModelIsNull) {
-  ShardedModelRegistry registry;
+  ModelRegistry registry;
   trace::Job j;
   j.pipeline_name = "anything";
   EXPECT_EQ(registry.lookup(j), nullptr);
 }
 
-TEST(ModelRegistry, CountsModelsAcrossShardsAndCountsSwaps) {
-  ShardedModelRegistry registry;
+TEST(ModelRegistry, CountsModelsAndInstalls) {
+  ModelRegistry registry;
   registry.register_model("a", std::make_shared<CategoryModel>());
   registry.register_model("b", std::make_shared<CategoryModel>());
   registry.register_model("a", std::make_shared<CategoryModel>());  // replace
   EXPECT_EQ(registry.num_models(), 2u);
   EXPECT_FALSE(registry.has_default());
-  EXPECT_EQ(registry.swap_count(), 3u);  // every installation counts
+  EXPECT_EQ(registry.epoch(), 3u);  // every installation counts
 }
 
 TEST(ModelRegistry, HotSwapReplacesBackendForNextLookup) {
-  ShardedModelRegistry registry(4);
+  ModelRegistry registry;
   const auto old_backend = make_gbdt_backend(std::make_shared<CategoryModel>());
   const auto new_backend = make_gbdt_backend(std::make_shared<CategoryModel>());
   registry.register_model("pipe", old_backend);
@@ -282,15 +315,6 @@ TEST(ModelRegistry, HotSwapReplacesBackendForNextLookup) {
   // The reader that resolved before the swap still holds a live backend.
   EXPECT_EQ(held, old_backend);
   EXPECT_EQ(registry.num_models(), 1u);
-}
-
-TEST(ModelRegistry, SingleShardDegeneratesToOneMap) {
-  ShardedModelRegistry registry(1);
-  EXPECT_EQ(registry.num_shards(), 1u);
-  registry.register_model("a", std::make_shared<CategoryModel>());
-  registry.register_model("b", std::make_shared<CategoryModel>());
-  EXPECT_EQ(registry.num_models(), 2u);
-  EXPECT_THROW(ShardedModelRegistry(0), std::invalid_argument);
 }
 
 TEST(ByomPolicy, UsesWorkloadModelAndFallback) {
@@ -366,7 +390,6 @@ TEST(ByomPolicyBatched, MatchesUnbatchedDecisions) {
   registry->set_default_model(model);
   policy::ByomPolicyOptions batched_options;
   batched_options.adaptive.num_categories = model->num_categories();
-  batched_options.hints = policy::HintSource::kPrecomputed;
   batched_options.precompute_jobs = &split.test.jobs();
   auto batched = policy::make_byom_policy(registry, batched_options);
   policy::AdaptiveConfig cfg;
@@ -507,7 +530,6 @@ TEST(ByomPolicyOptions, PrecomputedMatchesSyncDecisions) {
   auto sync = policy::make_byom_policy(registry, sync_options);
 
   policy::ByomPolicyOptions batched_options = sync_options;
-  batched_options.hints = policy::HintSource::kPrecomputed;
   batched_options.precompute_jobs = &split.test.jobs();
   auto batched = policy::make_byom_policy(registry, batched_options);
 
@@ -523,7 +545,6 @@ TEST(ByomPolicyOptions, PrecomputedMatchesSyncDecisions) {
 TEST(ByomPolicyOptions, CustomProviderFrontsTheChain) {
   auto registry = std::make_shared<ModelRegistry>();  // no models
   policy::ByomPolicyOptions options;
-  options.hints = policy::HintSource::kCustom;
   options.custom_provider = make_function_provider(
       "const", [](const trace::Job&) { return std::optional<int>(9); });
   options.name = "custom";
@@ -539,28 +560,53 @@ TEST(ByomPolicyOptions, CustomProviderFrontsTheChain) {
   EXPECT_EQ(policy->last_category(), 9);
 }
 
-TEST(ByomPolicyOptions, InvalidSelectionsThrow) {
+// The chain is derived from what the options supply: the custom provider
+// first, then the table precomputed at construction, then the live
+// registry for jobs outside the table.
+TEST(ByomPolicyOptions, ChainAsksCustomThenPrecomputedThenRegistry) {
+  class ConstantBackend final : public ModelBackend {
+   public:
+    explicit ConstantBackend(int category) : category_(category) {}
+    std::string name() const override { return "constant"; }
+    int num_categories() const override { return 15; }
+    int predict_category(const trace::Job&) const override {
+      return category_;
+    }
+
+   private:
+    int category_;
+  };
+  std::vector<trace::Job> jobs(3);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].job_id = i + 1;
+    jobs[i].job_key = "job/" + std::to_string(i);
+    jobs[i].lifetime = 60.0;
+    jobs[i].peak_bytes = kGiB;
+  }
+  const std::vector<trace::Job> upcoming(jobs.begin(), jobs.begin() + 2);
   auto registry = std::make_shared<ModelRegistry>();
-  policy::ByomPolicyOptions precomputed;
-  precomputed.hints = policy::HintSource::kPrecomputed;  // no precompute_jobs
-  EXPECT_THROW(policy::make_byom_policy(registry, precomputed),
-               std::invalid_argument);
-  policy::ByomPolicyOptions custom;
-  custom.hints = policy::HintSource::kCustom;  // no custom_provider
-  EXPECT_THROW(policy::make_byom_policy(registry, custom), std::invalid_argument);
-  EXPECT_THROW(policy::make_byom_policy(nullptr, policy::ByomPolicyOptions{}),
-               std::invalid_argument);
+  registry->set_default_model(std::make_shared<ConstantBackend>(3));
+  policy::ByomPolicyOptions options;
+  options.precompute_jobs = &upcoming;
+  options.custom_provider = make_function_provider(
+      "first-only", [](const trace::Job& j) {
+        return j.job_id == 1 ? std::optional<int>(9) : std::nullopt;
+      });
+  auto policy = policy::make_byom_policy(registry, options);
+  // Swapped after construction: only the registry leg sees the new default.
+  registry->set_default_model(std::make_shared<ConstantBackend>(5));
+  policy::StorageView view;
+  view.ssd_capacity_bytes = 100 * kGiB;
+  const int expected[] = {9, 3, 5};
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    policy->decide(jobs[i], view);
+    EXPECT_EQ(policy->last_category(), expected[i]) << "job " << i;
+  }
 }
 
-TEST(TrainByomModel, WrapperMatchesDirectTraining) {
-  const auto t = cluster_trace(1, 408);
-  const auto split = trace::split_train_test(t);
-  const auto cfg = small_model_config();
-  const auto a = train_byom_model(split.train.jobs(), cfg);
-  const auto b = CategoryModel::train(split.train.jobs(), cfg);
-  for (const auto& j : split.test.jobs()) {
-    EXPECT_EQ(a.predict_category(j), b.predict_category(j));
-  }
+TEST(ByomPolicyOptions, NullRegistryThrows) {
+  EXPECT_THROW(policy::make_byom_policy(nullptr, policy::ByomPolicyOptions{}),
+               std::invalid_argument);
 }
 
 }  // namespace

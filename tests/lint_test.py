@@ -27,6 +27,7 @@ ALL_RULES = [
     "locale-dependent",
     "guarded-mutex",
     "raw-mutex",
+    "atomic-shared-ptr",
     "atomic-order",
 ]
 
@@ -104,6 +105,14 @@ class FiringFixtureTest(unittest.TestCase):
     def test_raw_mutex(self):
         self.assert_fires(fixture("common", "bad_rawmutex.cc"), "raw-mutex",
                           [9, 14])
+
+    def test_atomic_shared_ptr(self):
+        path = fixture("common", "bad_atomic_shared_ptr.cc")
+        self.assert_fires(path, "atomic-shared-ptr", [13, 17, 18, 23])
+        # Member calls on std::atomic objects and comment mentions stay
+        # quiet: exactly the four free calls fire.
+        _, out, _ = run_linter(path)
+        self.assertEqual(out.count("[atomic-shared-ptr]"), 4, out)
 
     def test_atomic_order_untagged(self):
         self.assert_fires(fixture("common", "bad_atomic.cc"),

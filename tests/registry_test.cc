@@ -1,4 +1,4 @@
-// ShardedModelRegistry + ModelBackend suite (ISSUE 4): pluggable backends
+// ModelRegistry + ModelBackend suite: pluggable backends
 // trained from the same job history, batched-vs-per-job parity through
 // precompute_categories, threaded hot-swap safety (run under the CI
 // ThreadSanitizer job), and retrain events installing freshly trained
@@ -124,7 +124,7 @@ TEST(PrecomputeParity, EveryBackendRoundTripsBitIdentically) {
   auto& f = fixture();
   const auto& jobs = f.split.test.jobs();
   for (const auto& backend : f.backends) {
-    auto registry = std::make_shared<ShardedModelRegistry>();
+    auto registry = std::make_shared<ModelRegistry>();
     registry->set_default_model(backend);
     const auto hints = precompute_categories(*registry, jobs, 8);
     ASSERT_EQ(hints.size(), jobs.size());
@@ -143,7 +143,7 @@ TEST(PrecomputeParity, MixedFleetGroupsPerBackend) {
   ASSERT_GE(jobs.size(), 2u);
   const std::string pipe_a = jobs.front().pipeline_name;
 
-  auto registry = std::make_shared<ShardedModelRegistry>();
+  auto registry = std::make_shared<ModelRegistry>();
   registry->set_default_model(f.backends[0]);   // gbdt default
   registry->register_model(pipe_a, f.backends[2]);  // frequency override
 
@@ -160,7 +160,7 @@ TEST(PrecomputeParity, MixedFleetGroupsPerBackend) {
 // Readers lookup()+predict while a writer re-registers every pipeline over
 // and over: no torn reads, every resolved backend stays alive and answers
 // in range. TSan (CI job `tsan`) verifies the data-race freedom claim.
-TEST(ShardedRegistryThreaded, LookupsRaceRegistrationsSafely) {
+TEST(ModelRegistryThreaded, LookupsRaceRegistrationsSafely) {
   auto& f = fixture();
   const auto& jobs = f.split.test.jobs();
 
@@ -169,7 +169,7 @@ TEST(ShardedRegistryThreaded, LookupsRaceRegistrationsSafely) {
       trace::distinct_pipelines(f.split.train);
   ASSERT_GE(pipelines.size(), 4u);
 
-  ShardedModelRegistry registry;
+  ModelRegistry registry;
   registry.set_default_model(f.backends[0]);
   for (const auto& pipeline : pipelines) {
     registry.register_model(pipeline, f.backends[1]);
@@ -202,7 +202,7 @@ TEST(ShardedRegistryThreaded, LookupsRaceRegistrationsSafely) {
         const int c = backend->predict_category(job);
         if (c < 0 || c >= backend->num_categories()) failures.fetch_add(1);
         lookups.fetch_add(1);
-        i += 7;  // stride so readers disagree on the hot shard
+        i += 7;  // stride so readers resolve different pipelines
       }
     });
   }
@@ -224,7 +224,7 @@ TEST(ShardedRegistryThreaded, LookupsRaceRegistrationsSafely) {
 
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(lookups.load(), 0u);
-  EXPECT_EQ(registry.swap_count(),
+  EXPECT_EQ(registry.epoch(),
             1 + pipelines.size() +
                 static_cast<std::uint64_t>(kRounds) * (pipelines.size() + 1));
   EXPECT_EQ(registry.num_models(), pipelines.size());
@@ -233,11 +233,10 @@ TEST(ShardedRegistryThreaded, LookupsRaceRegistrationsSafely) {
 // ------------------------------------------------------ epoch publication
 
 // Every successful installation — per-pipeline or default — advances the
-// global epoch, so readers can detect "registry changed since I looked"
-// without touching any shard.
+// epoch, so readers can detect "registry changed since I looked".
 TEST(EpochPublication, EpochAdvancesOnEveryInstall) {
   auto& f = fixture();
-  ShardedModelRegistry registry;
+  ModelRegistry registry;
   EXPECT_EQ(registry.epoch(), 0u);
   registry.set_default_model(f.backends[0]);
   EXPECT_EQ(registry.epoch(), 1u);
@@ -246,16 +245,15 @@ TEST(EpochPublication, EpochAdvancesOnEveryInstall) {
   // Re-registering the same pipeline is still a publication.
   registry.register_model("pipeline-a", f.backends[2]);
   EXPECT_EQ(registry.epoch(), 3u);
-  EXPECT_EQ(registry.epoch(), registry.swap_count());
 }
 
-// The RCU grace-period contract: a reader that resolved a backend before a
+// The reader-lifetime contract: a reader that resolved a backend before a
 // hot-swap keeps a live handle until it drops it — the superseded backend
 // (the canary, tracked by weak_ptr) is reclaimed only after the last
 // in-flight reader releases it, never under the reader's feet.
 TEST(EpochPublication, HotSwapReclaimsOldBackendAfterLastReaderDrops) {
   auto& f = fixture();
-  ShardedModelRegistry registry;
+  ModelRegistry registry;
 
   // A canary backend owned only by the registry once registered.
   ModelBackendPtr canary = train_backend(
@@ -290,7 +288,7 @@ TEST(EpochPublication, HotSwapReclaimsOldBackendAfterLastReaderDrops) {
 // ------------------------------------------- retrain installs fresh backends
 
 // A retrain event on the virtual timeline must *install* a freshly trained
-// backend into the serving registry (hot-swap observable via swap_count and
+// backend into the serving registry (hot-swap observable via epoch() and
 // pointer identity) and reset the staleness age — not merely bump a
 // counter.
 TEST(RetrainInstallation, EventsHotSwapFreshBackendsIntoRegistry) {
@@ -308,7 +306,7 @@ TEST(RetrainInstallation, EventsHotSwapFreshBackendsIntoRegistry) {
   ASSERT_NE(context.registry, nullptr);
   ASSERT_NE(context.staleness, nullptr);
 
-  const std::uint64_t swaps_before = context.registry->swap_count();
+  const std::uint64_t epoch_before = context.registry->epoch();
   trace::Job probe = f.split.test.jobs().front();
   const ModelBackendPtr deployed = context.registry->lookup(probe);
   ASSERT_NE(deployed, nullptr);
@@ -323,8 +321,8 @@ TEST(RetrainInstallation, EventsHotSwapFreshBackendsIntoRegistry) {
   EXPECT_GT(result.retrain_events, 0u);
   EXPECT_EQ(context.staleness->retrain_count(), result.retrain_events);
   // Every retrain event installed exactly one fresh default backend.
-  EXPECT_EQ(context.registry->swap_count(),
-            swaps_before + result.retrain_events);
+  EXPECT_EQ(context.registry->epoch(),
+            epoch_before + result.retrain_events);
   const ModelBackendPtr now_serving = context.registry->lookup(probe);
   ASSERT_NE(now_serving, nullptr);
   EXPECT_NE(now_serving, deployed) << "retrain did not swap the backend";
@@ -367,8 +365,7 @@ TEST(RetrainInstallation, HeterogeneousFleetRetrainsDeterministically) {
     config.staleness = context.staleness;
     const auto result = sim::simulate(f.split.test, *context.policy, config);
     // default + 2 overrides at build, then one full reinstall per retrain.
-    EXPECT_EQ(context.registry->swap_count(),
-              3 + result.retrain_events * 3);
+    EXPECT_EQ(context.registry->epoch(), 3 + result.retrain_events * 3);
     return result;
   };
 

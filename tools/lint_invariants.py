@@ -87,7 +87,7 @@ RULES = {
         "a `common::Mutex` member declaration must be paired with at least "
         "one BYOM_GUARDED_BY(<member>) in the same file, or carry a "
         "lint:allow(guarded-mutex) tag explaining why nothing is guarded "
-        "(protocol-only gates, RCU writer locks).",
+        "(protocol-only gates).",
     ),
     "raw-mutex": (
         "no raw std::mutex primitives outside the wrapper",
@@ -96,6 +96,15 @@ RULES = {
         "common::Mutex/MutexLock/CondVar so the Clang thread-safety "
         "analysis sees every acquisition. Allow tags honored (the wrapper "
         "itself is tagged).",
+    ),
+    "atomic-shared-ptr": (
+        "no free atomic_load/atomic_store/atomic_exchange",
+        "std::atomic_load/atomic_store/atomic_exchange (and their _explicit "
+        "forms) exist for shared_ptr slots: libstdc++ implements them with "
+        "a mutex from a global pool, so they are neither lock-free nor "
+        "cheap, and C++20 deprecates them. Guard the shared_ptr with a "
+        "common::Mutex instead (core/model_registry.h); std::atomic "
+        "objects use their member functions. Allow tags honored.",
     ),
     "atomic-order": (
         "every explicit memory_order argument names its pairing",
@@ -122,6 +131,10 @@ AMBIENT_RANDOM_RE = re.compile(r"\b(?:srand|random_device)\b|std::rand\b")
 LOCALE_RE = re.compile(
     r"\b(?:tolower|toupper|isalnum|isalpha|isdigit|isspace|isupper|"
     r"islower|setlocale)\s*\(|std::locale\b"
+)
+ATOMIC_SHARED_PTR_RE = re.compile(
+    r"(?:\bstd::|(?<![\w.:>]))atomic_(?:load|store|exchange)(?:_explicit)?"
+    r"\s*\("
 )
 RAW_MUTEX_RE = re.compile(
     r"std::(?:mutex|condition_variable|lock_guard|unique_lock|scoped_lock)\b"
@@ -434,6 +447,9 @@ def lint_file(path, violations):
     scan_regex(RAW_MUTEX_RE, stripped_lines, "raw-mutex",
                "raw mutex primitive (use common::Mutex/MutexLock/CondVar)",
                path, False, allows, violations)
+    scan_regex(ATOMIC_SHARED_PTR_RE, stripped_lines, "atomic-shared-ptr",
+               "free atomic function on a shared_ptr slot (guard it with a "
+               "common::Mutex)", path, False, allows, violations)
 
     # hotpath-alloc: scan only inside marked bodies.
     for start_line, end_line in hotpath_bodies(raw_lines, stripped):
