@@ -54,7 +54,7 @@ int main() {
           cell.cluster = cluster_index;
           cell.method = sim::MethodId::kAdaptiveRanking;
           cell.quota = quota;
-          cell.adaptive = cfg;
+          cell.make.adaptive = cfg;
           cells.push_back(cell);
         }
       }
@@ -88,7 +88,7 @@ int main() {
       cell.cluster = cluster_index;
       cell.method = sim::MethodId::kAdaptiveRanking;
       cell.quota = quota;
-      cell.adaptive = cfg;
+      cell.make.adaptive = cfg;
       semantic_cells.push_back(cell);
     }
   }

@@ -49,8 +49,8 @@ int main() {
       cell.quota = quota;
       cell.seed = sim::derive_cell_seed(17, index, cell.method,
                                         p * latencies.size() + l, 0);
-      cell.hint_latency = latencies[l];
-      cell.retrain_period = periods[p];
+      cell.make.hint_latency = latencies[l];
+      cell.make.retrain_period = periods[p];
       cells.push_back(cell);
     }
   }

@@ -2,8 +2,8 @@
 // the served adaptive policy when each workload brings a different model
 // *backend* — the paper's GBDT, a lightweight logistic regression, or a
 // plain frequency table (core/model_backend.h) — mixed per pipeline through
-// the hot-swappable registry, with daily retrain events installing
-// freshly trained backends on the virtual timeline.
+// the hot-swappable registry, with daily retrain events reinstalling the
+// deployed backends on the virtual timeline.
 //
 // Expectations: every backend (and every mix) lands between the
 // AdaptiveHash floor and the oracle ceiling — weaker backends give up some
@@ -79,9 +79,9 @@ int main() {
     cell.method = sim::MethodId::kAdaptiveServedLatency;
     cell.quota = quota;
     cell.seed = sim::derive_cell_seed(18, index, cell.method, f, 0);
-    cell.retrain_period = retrain_period;
-    cell.backend = fleets[f].default_kind;
-    cell.pipeline_backends = fleets[f].overrides;
+    cell.make.retrain_period = retrain_period;
+    cell.make.backend = fleets[f].default_kind;
+    cell.make.pipeline_backends = fleets[f].overrides;
     cells.push_back(cell);
   }
   // Reference cells: the non-ML floor and the clairvoyant ceiling.

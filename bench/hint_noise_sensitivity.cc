@@ -50,7 +50,7 @@ int main() {
         cell.cluster = index;
         cell.method = sim::MethodId::kAdaptiveRanking;
         cell.quota = quotas[q];
-        cell.hint_noise = noise_levels[n];
+        cell.make.hint_noise = noise_levels[n];
         cell.seed = sim::derive_cell_seed(
             kBaseSeed, index, cell.method, q,
             n * static_cast<std::size_t>(kRepeats) +
@@ -78,7 +78,7 @@ int main() {
       int count = 0;
       for (const auto& result : results) {
         if (result.cell.method == sim::MethodId::kAdaptiveRanking &&
-            result.cell.hint_noise == noise_levels[n] &&
+            result.cell.make.hint_noise == noise_levels[n] &&
             result.cell.quota == quota) {
           const double savings = result.result.tco_savings_pct();
           sum += savings;

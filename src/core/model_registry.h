@@ -8,7 +8,7 @@
 // alive through its inference even if a writer swaps the registration
 // mid-flight. Writers overwrite one entry in place and drop the replaced
 // backend after unlocking, so no backend destructor runs under the lock.
-// Retrain events thereby *install* freshly trained backends
+// Retrain events thereby reinstall the deployed backends
 // (core/staleness.h hook, harness/experiment.h wiring).
 //
 // Granularity mirrors the paper: one default per cluster ("the paper

@@ -78,8 +78,8 @@ class BYOM_EXTERNALLY_SYNCHRONIZED StalenessSchedule {
   // retrain events. Empty when retrain_period <= 0.
   std::vector<double> retrain_times(double begin, double end) const;
 
-  // Retrain event at `t`: runs the installer hook (which deploys the
-  // freshly trained replacement backends — see set_retrain_hook), then
+  // Retrain event at `t`: runs the installer hook (which reinstalls the
+  // deployed backends — see set_retrain_hook), then
   // resets the model age to zero. Times must be non-decreasing (the event
   // timeline guarantees this).
   void on_retrain(double t);
@@ -87,9 +87,11 @@ class BYOM_EXTERNALLY_SYNCHRONIZED StalenessSchedule {
 
   // The deployment side of a retrain: called by on_retrain(t) *before* the
   // age reset, so the hook observes the stale epoch it is replacing. The
-  // factory wires this to hot-swap freshly trained ModelBackends into the
-  // serving ModelRegistry (harness/experiment.h) — a retrain genuinely
-  // installs a new model instead of only resetting this schedule's counter.
+  // factory wires this to reinstall the deployed ModelBackends into the
+  // serving ModelRegistry (harness/experiment.h) — a retrain goes through
+  // the registry's install path instead of only resetting this schedule's
+  // counter. In closed-world replay the retrained model is the deployed
+  // one, so the same artifacts are reinstalled.
   void set_retrain_hook(std::function<void(double)> hook);
 
  private:

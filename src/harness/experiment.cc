@@ -63,30 +63,19 @@ MethodFactory::shared_category_model() const {
   return model_;
 }
 
-void MethodFactory::set_category_model(core::CategoryModel model) {
-  common::MutexLock lock(model_mutex_);
-  model_ = std::make_shared<const core::CategoryModel>(std::move(model));
-  // GBDT backend wrappers may wrap model_ — the cluster default always
-  // does, and small-history pipelines fall back to it (gbdt_model_for) —
-  // so drop every cached "gbdt\n*" entry: registry-backed cells must
-  // deploy the newly installed forest (cross-cluster studies swap models
-  // mid-factory). Pipeline-trained forests live in gbdt_model_cache_ and
-  // stay valid; their wrappers are rebuilt on demand at zero cost.
-  const std::string prefix =
-      std::string(core::backend_kind_name(core::BackendKind::kGbdt)) + "\n";
-  for (auto it = backend_cache_.lower_bound(prefix);
-       it != backend_cache_.end() &&
-       it->first.compare(0, prefix.size(), prefix) == 0;) {
-    it = backend_cache_.erase(it);
-  }
-}
-
-void MethodFactory::warm(MethodId id) const {
+void MethodFactory::warm(MethodId id, const MakeOptions& options) const {
   switch (id) {
     case MethodId::kAdaptiveRanking:
-    case MethodId::kTrueCategory:
     case MethodId::kAdaptiveServed:
     case MethodId::kAdaptiveServedLatency:
+      // The cell's backend selection; with the default selection this is
+      // the shared GBDT over the category model.
+      backend(options.backend, "");
+      for (const auto& [pipeline, kind] : options.pipeline_backends) {
+        backend(kind, pipeline);
+      }
+      break;
+    case MethodId::kTrueCategory:
       shared_category_model();
       break;
     case MethodId::kMlBaseline: {
@@ -102,92 +91,13 @@ void MethodFactory::warm(MethodId id) const {
   }
 }
 
-void MethodFactory::warm(MethodId id, const MakeOptions& options) const {
-  switch (id) {
-    case MethodId::kAdaptiveRanking:
-    case MethodId::kAdaptiveServed:
-    case MethodId::kAdaptiveServedLatency:
-      // Train the cell's backend selection up front; with the default
-      // selection this is exactly the shared GBDT the plain warm covers.
-      shared_backend(options.backend);
-      for (const auto& [pipeline, kind] : options.pipeline_backends) {
-        pipeline_backend(kind, pipeline);
-      }
-      if (!uses_custom_backends(options)) warm(id);
-      break;
-    default:
-      warm(id);
-      break;
-  }
-}
-
 bool MethodFactory::uses_custom_backends(const MakeOptions& options) {
   return options.backend != core::BackendKind::kGbdt ||
          !options.pipeline_backends.empty();
 }
 
-core::BackendConfig MethodFactory::backend_config() const {
-  core::BackendConfig config;
-  config.model = model_config_;
-  return config;
-}
-
-core::ModelBackendPtr MethodFactory::shared_backend(
-    core::BackendKind kind) const {
-  const std::string key = std::string(backend_kind_name(kind)) + "\n";
-  common::MutexLock lock(model_mutex_);
-  const auto it = backend_cache_.find(key);
-  if (it != backend_cache_.end()) return it->second;
-  core::ModelBackendPtr backend;
-  if (kind == core::BackendKind::kGbdt) {
-    // Share the lazily trained category model's forest (same lazy-init as
-    // shared_category_model; inlined because model_mutex_ is held).
-    if (!model_) {
-      model_ = std::make_shared<const core::CategoryModel>(
-          core::CategoryModel::train(train_.jobs(), model_config_));
-    }
-    backend = core::make_gbdt_backend(model_);
-  } else {
-    backend = core::train_backend(kind, train_.jobs(), backend_config());
-  }
-  backend_cache_.emplace(key, backend);
-  return backend;
-}
-
-std::shared_ptr<const std::vector<trace::Job>> MethodFactory::pipeline_history(
-    const std::string& pipeline) const {
-  {
-    common::MutexLock lock(model_mutex_);
-    const auto it = history_cache_.find(pipeline);
-    if (it != history_cache_.end()) return it->second;
-  }
-  auto history = std::make_shared<std::vector<trace::Job>>();
-  for (const auto& job : train_.jobs()) {
-    if (job.pipeline_name == pipeline) history->push_back(job);
-  }
-  common::MutexLock lock(model_mutex_);
-  return history_cache_.emplace(pipeline, std::move(history)).first->second;
-}
-
-std::shared_ptr<const core::CategoryModel> MethodFactory::gbdt_model_for(
-    const std::string& pipeline) const {
-  if (pipeline.empty()) return shared_category_model();
-  const auto history = pipeline_history(pipeline);
-  // Too few runs to fit a labeler worth trusting: deploy the cluster
-  // forest for this workload instead.
-  if (history->size() < 32) return shared_category_model();
-  common::MutexLock lock(model_mutex_);
-  auto& model = gbdt_model_cache_[pipeline];
-  if (!model) {
-    model = std::make_shared<const core::CategoryModel>(
-        core::CategoryModel::train(*history, model_config_));
-  }
-  return model;
-}
-
-core::ModelBackendPtr MethodFactory::pipeline_backend(
+core::ModelBackendPtr MethodFactory::backend(
     core::BackendKind kind, const std::string& pipeline) const {
-  if (pipeline.empty()) return shared_backend(kind);
   const std::string key =
       std::string(backend_kind_name(kind)) + "\n" + pipeline;
   {
@@ -195,51 +105,37 @@ core::ModelBackendPtr MethodFactory::pipeline_backend(
     const auto it = backend_cache_.find(key);
     if (it != backend_cache_.end()) return it->second;
   }
-  core::ModelBackendPtr backend;
-  if (kind == core::BackendKind::kGbdt) {
-    backend = core::make_gbdt_backend(gbdt_model_for(pipeline));
+  core::BackendConfig config;
+  config.model = model_config_;
+  core::ModelBackendPtr trained;
+  if (pipeline.empty()) {
+    trained = kind == core::BackendKind::kGbdt
+                  ? core::make_gbdt_backend(shared_category_model())
+                  : core::train_backend(kind, train_.jobs(), config);
   } else {
-    const auto history = pipeline_history(pipeline);
-    // Same small-sample rule as the forest: degrade to the cluster-wide
-    // backend of this kind.
-    backend = history->size() < 32
-                  ? shared_backend(kind)
-                  : core::train_backend(kind, *history, backend_config());
+    std::vector<trace::Job> history;
+    for (const auto& job : train_.jobs()) {
+      if (job.pipeline_name == pipeline) history.push_back(job);
+    }
+    // Too few runs to fit a labeler worth trusting: deploy the cluster
+    // default of this kind for this workload instead.
+    trained = history.size() < 32 ? backend(kind, "")
+                                  : core::train_backend(kind, history, config);
   }
   common::MutexLock lock(model_mutex_);
   // First insert wins if two cells raced on the same training; artifacts
   // are deterministic in (kind, history), so either instance is correct.
-  return backend_cache_.emplace(key, std::move(backend)).first->second;
+  return backend_cache_.emplace(key, std::move(trained)).first->second;
 }
 
 std::shared_ptr<core::ModelRegistry> MethodFactory::make_registry(
     const MakeOptions& options) const {
   auto registry = std::make_shared<core::ModelRegistry>();
-  registry->set_default_model(shared_backend(options.backend));
+  registry->set_default_model(backend(options.backend, ""));
   for (const auto& [pipeline, kind] : options.pipeline_backends) {
-    registry->register_model(pipeline, pipeline_backend(kind, pipeline));
+    registry->register_model(pipeline, backend(kind, pipeline));
   }
   return registry;
-}
-
-core::ModelBackendPtr MethodFactory::retrained_backend(
-    core::BackendKind kind, const std::string& pipeline) const {
-  if (kind == core::BackendKind::kGbdt) {
-    // Closed-world replay: a forest retrained at the event instant is
-    // bit-identical to the deployed one (immutable history, same config
-    // and seed), so share the trained artifact and install a fresh wrapper
-    // — the hot-swap stays observable at the registry at zero training
-    // cost. A live deployment would train on current data here.
-    return core::make_gbdt_backend(gbdt_model_for(pipeline));
-  }
-  // Cheap kinds genuinely retrain at every event.
-  if (pipeline.empty()) {
-    return core::train_backend(kind, train_.jobs(), backend_config());
-  }
-  const auto history = pipeline_history(pipeline);
-  return core::train_backend(
-      kind, history->size() >= 32 ? *history : train_.jobs(),
-      backend_config());
 }
 
 void MethodFactory::set_predicted_hints(
@@ -379,20 +275,22 @@ PolicyContext MethodFactory::served_latency_context(
     staleness.seed = options.noise_seed ^ 0x3C3C3C3CC3C3C3C3ULL;
     staleness.num_categories = adaptive.num_categories;
     context.staleness = std::make_shared<core::StalenessSchedule>(staleness);
-    // A retrain event is a real deployment now: freshly trained backends
-    // are hot-swapped into the serving registry (default + every
-    // per-pipeline override), *then* the schedule's model age resets — so
-    // the decay really restarts because a new model is serving, not
-    // because a counter was cleared.
-    const core::BackendKind default_kind = options.backend;
-    const auto overrides = options.pipeline_backends;
-    const auto registry = context.registry;
+    // Closed-world replay: the history is immutable, so a model retrained
+    // at the event instant is bit-identical to the deployed one. Each
+    // event reinstalls the deployed backends (default + every per-pipeline
+    // override) into the serving registry, *then* the schedule's model age
+    // resets. A live deployment would train on current data here.
+    std::vector<std::pair<std::string, core::ModelBackendPtr>> overrides;
+    for (const auto& [pipeline, kind] : options.pipeline_backends) {
+      overrides.emplace_back(pipeline, backend(kind, pipeline));
+    }
     context.staleness->set_retrain_hook(
-        [this, registry, default_kind, overrides](double) {
-          registry->set_default_model(retrained_backend(default_kind, ""));
-          for (const auto& [pipeline, kind] : overrides) {
-            registry->register_model(pipeline,
-                                     retrained_backend(kind, pipeline));
+        [registry = context.registry,
+         deployed = backend(options.backend, ""),
+         overrides = std::move(overrides)](double) {
+          registry->set_default_model(deployed);
+          for (const auto& [pipeline, model] : overrides) {
+            registry->register_model(pipeline, model);
           }
         });
     provider = core::make_stale_provider(

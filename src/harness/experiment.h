@@ -102,7 +102,7 @@ struct MakeOptions {
   // Model retraining cadence in virtual seconds; 0 disables staleness
   // entirely, > 0 attaches a StalenessSchedule that decays hint accuracy
   // toward the AdaptiveHash floor between retrains (paper section 6). Each
-  // retrain event *installs* a freshly trained backend into the serving
+  // retrain event reinstalls the deployed backends into the serving
   // registry (hot-swap) and resets the schedule's model age.
   double retrain_period = 0.0;
   // Hint-accuracy half-life while stale; 0 selects the factory default.
@@ -125,11 +125,6 @@ struct MakeOptions {
 // machinery behind it. make_sim_config passes clock/service/staleness into
 // SimConfig so the engine drives hint delivery and retrains on the same
 // timeline as the arrivals.
-//
-// Lifetime: a context built with retrain_period > 0 *borrows* its factory —
-// the retrain hook trains replacement backends through it — so the factory
-// must outlive the simulation, exactly as it must outlive the runner that
-// holds it by pointer (run_method and ExperimentRunner both satisfy this).
 struct PolicyContext {
   std::unique_ptr<policy::PlacementPolicy> policy;
   std::shared_ptr<SimClock> clock;
@@ -199,14 +194,13 @@ class MethodFactory {
   // pointer instead of copying the forest per cell.
   std::shared_ptr<const core::CategoryModel> shared_category_model() const;
 
-  // Lazily trained cluster-default backend of one kind (kGbdt shares the
-  // category model's forest). Cached per kind; thread-safe.
-  core::ModelBackendPtr shared_backend(core::BackendKind kind) const;
-  // Backend trained on one pipeline's own history (the per-workload BYOM
-  // granularity); degrades to the cluster backend when the pipeline has
-  // fewer than 32 training jobs. Cached per (kind, pipeline); thread-safe.
-  core::ModelBackendPtr pipeline_backend(core::BackendKind kind,
-                                         const std::string& pipeline) const;
+  // The lazily trained backend of `kind` serving `pipeline`: "" is the
+  // cluster default (kGbdt shares the category model's forest); a named
+  // pipeline gets one trained on its own history (the per-workload BYOM
+  // granularity), or the cluster default when it has fewer than 32
+  // training jobs. Cached per (kind, pipeline); thread-safe.
+  core::ModelBackendPtr backend(core::BackendKind kind,
+                                const std::string& pipeline) const;
   // The serving registry for one cell: cluster-default backend of
   // options.backend plus every options.pipeline_backends override. A fresh
   // registry per call (cells hot-swap independently), sharing the cached
@@ -220,23 +214,15 @@ class MethodFactory {
   // single source of truth for that routing decision.
   static bool uses_custom_backends(const MakeOptions& options);
 
-  // Pre-trains whatever `id` needs (category model, lifetime baseline) so
-  // parallel cells share finished artifacts instead of serializing on the
-  // training lock mid-run.
-  void warm(MethodId id) const;
-  // Same, also covering the cell's backend selection.
-  void warm(MethodId id, const MakeOptions& options) const;
-  // Swap in an externally trained model (cross-cluster generalization
-  // studies train on cluster A and deploy on cluster B).
-  void set_category_model(core::CategoryModel model);
+  // Pre-trains whatever `id` needs (category model, lifetime baseline, the
+  // cell's backend selection) so parallel cells share finished artifacts
+  // instead of serializing on the training lock mid-run.
+  void warm(MethodId id, const MakeOptions& options = {}) const;
 
   const trace::Trace& train_trace() const { return train_; }
   const cost::CostModel& cost_model() const { return cost_model_; }
   const policy::AdaptiveConfig& adaptive_config() const {
     return adaptive_config_;
-  }
-  void set_adaptive_config(const policy::AdaptiveConfig& config) {
-    adaptive_config_ = config;
   }
 
   // Precomputed test-trace categories (one CategoryModel::predict_batch /
@@ -269,23 +255,6 @@ class MethodFactory {
                                        std::size_t queue_capacity,
                                        const policy::AdaptiveConfig& adaptive,
                                        const MakeOptions& options) const;
-  // The shared BackendConfig backends are trained with.
-  core::BackendConfig backend_config() const;
-  // This pipeline's slice of the training history (cached: retrain events
-  // re-read it per event, and the scan/copy is O(trace)).
-  std::shared_ptr<const std::vector<trace::Job>> pipeline_history(
-      const std::string& pipeline) const;
-  // The (cached) forest serving one pipeline: the pipeline's own trained
-  // model when its history is large enough, else the cluster model.
-  // "" selects the cluster model. Tracks set_category_model swaps.
-  std::shared_ptr<const core::CategoryModel> gbdt_model_for(
-      const std::string& pipeline) const;
-  // The replacement backend a retrain event installs. Cheap kinds retrain
-  // from scratch per event; the GBDT shares the deployed artifact (in this
-  // closed-world replay the history is immutable, so a retrained forest is
-  // bit-identical) under a fresh wrapper, keeping the swap observable.
-  core::ModelBackendPtr retrained_backend(core::BackendKind kind,
-                                          const std::string& pipeline) const;
 
   trace::Trace train_;
   cost::CostModel cost_model_;
@@ -301,13 +270,6 @@ class MethodFactory {
   // cluster default).
   mutable std::map<std::string, core::ModelBackendPtr> backend_cache_
       BYOM_GUARDED_BY(model_mutex_);
-  // Per-pipeline trained forests (see gbdt_model_for).
-  mutable std::map<std::string, std::shared_ptr<const core::CategoryModel>>
-      gbdt_model_cache_ BYOM_GUARDED_BY(model_mutex_);
-  // Per-pipeline training-history slices (see pipeline_history).
-  mutable std::map<std::string,
-                   std::shared_ptr<const std::vector<trace::Job>>>
-      history_cache_ BYOM_GUARDED_BY(model_mutex_);
   // Trained-once prototype; each cell gets a cheap copy (the policy is
   // stateless after construction but each simulation owns its instance).
   mutable std::shared_ptr<const policy::LifetimeMlPolicy> ml_baseline_

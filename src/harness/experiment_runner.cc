@@ -53,22 +53,6 @@ std::vector<ExperimentCell> ExperimentRunner::make_grid(
   return cells;
 }
 
-namespace {
-
-MakeOptions options_for(const ExperimentCell& cell) {
-  MakeOptions options;
-  options.adaptive = cell.adaptive;
-  options.hint_noise = cell.hint_noise;
-  options.noise_seed = cell.seed;
-  options.hint_latency = cell.hint_latency;
-  options.retrain_period = cell.retrain_period;
-  options.backend = cell.backend;
-  options.pipeline_backends = cell.pipeline_backends;
-  return options;
-}
-
-}  // namespace
-
 void ExperimentRunner::warm_models(
     const std::vector<ExperimentCell>& cells) const {
   // Train each referenced cluster's lazy models (including every backend
@@ -80,7 +64,7 @@ void ExperimentRunner::warm_models(
       throw std::out_of_range("ExperimentRunner: cell references unknown "
                               "cluster");
     }
-    clusters_[cell.cluster].factory->warm(cell.method, options_for(cell));
+    clusters_[cell.cluster].factory->warm(cell.method, cell.make);
   }
 }
 
@@ -89,10 +73,10 @@ CellResult ExperimentRunner::run_cell(const ExperimentCell& cell) const {
   CellResult out;
   out.cell = cell;
   out.capacity_bytes = quota_capacity(cluster.peak_bytes, cell.quota);
-
+  MakeOptions options = cell.make;
+  options.noise_seed = cell.seed;
   out.result = run_method(*cluster.factory, cell.method, *cluster.test,
-                          out.capacity_bytes, options_for(cell),
-                          cell.record_outcomes);
+                          out.capacity_bytes, options, cell.record_outcomes);
   return out;
 }
 

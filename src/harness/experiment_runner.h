@@ -11,9 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "framework/thread_pool.h"
@@ -25,28 +22,14 @@ struct ExperimentCell {
   std::size_t cluster = 0;  // index returned by ExperimentRunner::add_cluster
   MethodId method = MethodId::kFirstFit;
   double quota = 0.1;       // fraction of the test trace's peak usage
-  std::uint64_t seed = 0;   // deterministic per-cell seed; consumed by
-                            // stochastic cells (hint_noise) and recorded
-  // Algorithm-1 hyperparameter override for sensitivity sweeps; unset cells
-  // use the factory's config.
-  std::optional<policy::AdaptiveConfig> adaptive;
-  // Fraction of category hints flipped by a NoisyProvider seeded with
-  // `seed` (adaptive methods only; noisy-hint sensitivity sweeps).
-  double hint_noise = 0.0;
-  // Mean virtual serving latency for kAdaptiveServedLatency cells (seconds;
-  // 0 = instant hints). Latency draws are seeded from `seed`.
-  double hint_latency = 0.0;
-  // Retraining cadence for kAdaptiveServedLatency cells (seconds; 0 = no
-  // staleness): the paper's section-6 savings-vs-cadence sweep axis. Each
-  // retrain event installs a freshly trained backend into the cell's
-  // serving registry.
-  double retrain_period = 0.0;
-  // Cluster-default ModelBackend kind for registry-backed adaptive cells
-  // (GBDT / logistic regression / frequency table), plus per-pipeline
-  // overrides — one cell can replay a heterogeneous bring-your-own-model
-  // fleet (the fig18 backend-mix sweep axis).
-  core::BackendKind backend = core::BackendKind::kGbdt;
-  std::vector<std::pair<std::string, core::BackendKind>> pipeline_backends;
+  // Deterministic per-cell seed: run_cell passes it as make.noise_seed,
+  // seeding the cell's stochastic components (hint noise, serving latency,
+  // staleness draws).
+  std::uint64_t seed = 0;
+  // Per-cell construction knobs (Algorithm-1 override, hint noise, serving
+  // latency, retrain cadence, backend selection); make.noise_seed is
+  // ignored in favour of `seed`.
+  MakeOptions make;
   bool record_outcomes = false;
 };
 

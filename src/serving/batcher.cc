@@ -59,8 +59,9 @@ bool Batcher::run_once() {
 std::size_t Batcher::drain() {
   std::size_t total = 0;
   for (;;) {
+    // No reserve: most passes move a request or two, and the last one
+    // finds the queue empty.
     std::vector<InferenceRequest> batch;
-    batch.reserve(config_.max_batch);
     if (queue_->pop_batch(batch, config_.max_batch,
                           std::chrono::milliseconds(0)) == 0) {
       break;

@@ -52,9 +52,9 @@
 // composition — so served hints are bit-identical to offline-batched hints
 // whenever every request completes in time, at any shard count.
 //
-// Backend resolution is epoch-published (core/model_registry.h): each batch
-// loads an immutable snapshot through an atomic slot, so registry hot-swaps
-// never take a lock on this read path.
+// Backend resolution goes through the registry (core/model_registry.h):
+// each batch calls ModelRegistry::lookup, which takes its one mutex, per
+// job, so a hot-swap is seen by the next batch.
 #pragma once
 
 #include <atomic>
@@ -151,8 +151,8 @@ class PlacementService : public sim::HintService {
  public:
   // The registry maps each job to its workload's ModelBackend
   // (core/model_registry.h). Hot-swaps are honored mid-run: each batch
-  // resolves its backends (via epoch-published snapshots) at execution
-  // time.
+  // resolves its backends at execution time, one ModelRegistry::lookup
+  // per job.
   explicit PlacementService(
       std::shared_ptr<const core::ModelRegistry> registry,
       const PlacementServiceConfig& config = {});

@@ -270,16 +270,16 @@ TEST(CategoryModel, PaperDefaultsAre15Categories) {
 // ------------------------------------------------------------- ModelRegistry
 
 TEST(ModelRegistry, LookupPrefersPipelineModel) {
-  const auto pipeline_backend =
+  const auto pipe_a_backend =
       make_gbdt_backend(std::make_shared<CategoryModel>());
   const auto default_backend =
       make_gbdt_backend(std::make_shared<CategoryModel>());
   ModelRegistry registry;
-  registry.register_model("pipe_a", pipeline_backend);
+  registry.register_model("pipe_a", pipe_a_backend);
   registry.set_default_model(default_backend);
   trace::Job j;
   j.pipeline_name = "pipe_a";
-  EXPECT_EQ(registry.lookup(j), pipeline_backend);
+  EXPECT_EQ(registry.lookup(j), pipe_a_backend);
   j.pipeline_name = "pipe_b";
   EXPECT_EQ(registry.lookup(j), default_backend);
 }

@@ -6,7 +6,8 @@
 // timeliness, or the engine's arithmetic shows up as a mismatch. The cells
 // cover all ten MethodIds at a 5% quota, the registry-routed ranking and
 // offline-served chains over a per-pipeline bring-your-own-model fleet, and
-// the served-latency cell with real latency and daily retrains.
+// the served-latency cell with real latency and daily retrains, alone and
+// over the fleet.
 //
 // A second file, tests/golden/gbdt_score_digests.txt, pins the raw score
 // bits of the cells' GBDT model over a fixed row set, through both compiled
@@ -203,6 +204,18 @@ TEST_F(GoldenDigestTest, ServedLatencyWithDailyRetrain) {
   options.retrain_period = 86400.0;
   options.noise_seed = 2025;
   expect_digest("AdaptiveServedLatency/latency0.5-retrain1d",
+                MethodId::kAdaptiveServedLatency, options);
+}
+
+// The same served cell over the backend fleet: retrain events reinstall
+// logistic and frequency backends as well as GBDT ones.
+TEST_F(GoldenDigestTest, ServedLatencyFleetWithDailyRetrain) {
+  MakeOptions options = fleet_options();
+  options.hint_latency = 0.5;
+  options.hint_deadline = 1.0;
+  options.retrain_period = 86400.0;
+  options.noise_seed = 2025;
+  expect_digest("AdaptiveServedLatency/fleet-latency0.5-retrain1d",
                 MethodId::kAdaptiveServedLatency, options);
 }
 

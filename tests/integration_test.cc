@@ -120,13 +120,13 @@ TEST(EndToEnd, CrossClusterModelStillWorks) {
   // savings on this cluster in the same ballpark as the home model.
   const ClusterFixture& home = fixture();
   ClusterFixture other(1, 808);
-  // Deploy other-cluster model on home cluster.
-  sim::MethodFactory cross(home.split.train);
+  // Deploy other-cluster model on home cluster: the factory trains on the
+  // other cluster's history, and Algorithm 1 uses that model's category
+  // count.
   core::CategoryModelConfig mc;
   mc.num_categories = 10;
   mc.gbdt.num_rounds = 12;
-  cross.set_category_model(core::CategoryModel::train(
-      other.split.train.jobs(), mc));
+  sim::MethodFactory cross(other.split.train, cost::Rates{}, mc);
   const auto cap = sim::quota_capacity(home.split.test, 0.05);
   const auto cross_result = sim::run_method(
       cross, sim::MethodId::kAdaptiveRanking, home.split.test, cap);

@@ -1,13 +1,16 @@
 // ModelRegistry + ModelBackend suite: pluggable backends
 // trained from the same job history, batched-vs-per-job parity through
-// precompute_categories, threaded hot-swap safety (run under the CI
-// ThreadSanitizer job), and retrain events installing freshly trained
-// backends on the virtual timeline.
+// precompute_categories, threaded hot-swap and backend-cache safety (run
+// under the CI ThreadSanitizer job), and retrain events reinstalling the
+// deployed backends on the virtual timeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -230,6 +233,52 @@ TEST(ModelRegistryThreaded, LookupsRaceRegistrationsSafely) {
   EXPECT_EQ(registry.num_models(), pipelines.size());
 }
 
+// A cold factory's backend cache under concurrent first use: threads that
+// race to train the same (kind, pipeline) entry all get the one instance
+// that won the insert. TSan (CI job `tsan`) checks the cache's locking.
+TEST(BackendCacheThreaded, RacingFirstUsesShareOneInstance) {
+  auto& f = fixture();
+  const sim::MethodFactory factory(f.split.train, cost::Rates{},
+                                   small_backend_config().model);
+  // The busiest training pipeline, so its logistic backend is trained on
+  // its own history rather than falling back to the cluster default.
+  std::map<std::string, std::size_t> runs;
+  for (const auto& job : f.split.train.jobs()) ++runs[job.pipeline_name];
+  const auto busiest = std::max_element(
+      runs.begin(), runs.end(),
+      [](const auto& a, const auto& b) { return a.second < b.second; });
+  ASSERT_GE(busiest->second, 32u);
+  const std::string& pipeline = busiest->first;
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<ModelBackendPtr> logistic(kThreads);
+  std::vector<ModelBackendPtr> gbdt(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Alternate the call order so both keys see racing first uses.
+      if (t % 2 == 0) {
+        logistic[t] = factory.backend(BackendKind::kLogistic, pipeline);
+        gbdt[t] = factory.backend(BackendKind::kGbdt, "");
+      } else {
+        gbdt[t] = factory.backend(BackendKind::kGbdt, "");
+        logistic[t] = factory.backend(BackendKind::kLogistic, pipeline);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  ASSERT_NE(logistic[0], nullptr);
+  ASSERT_NE(gbdt[0], nullptr);
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(logistic[t], logistic[0]) << "thread " << t;
+    EXPECT_EQ(gbdt[t], gbdt[0]) << "thread " << t;
+  }
+  EXPECT_EQ(factory.backend(BackendKind::kLogistic, pipeline), logistic[0]);
+  EXPECT_EQ(factory.backend(BackendKind::kGbdt, ""), gbdt[0]);
+  EXPECT_NE(factory.backend(BackendKind::kLogistic, ""), logistic[0]);
+}
+
 // ------------------------------------------------------ epoch publication
 
 // Every successful installation — per-pipeline or default — advances the
@@ -285,12 +334,12 @@ TEST(EpochPublication, HotSwapReclaimsOldBackendAfterLastReaderDrops) {
   EXPECT_TRUE(watch.expired());
 }
 
-// ------------------------------------------- retrain installs fresh backends
+// ------------------------------------- retrain reinstalls deployed backends
 
-// A retrain event on the virtual timeline must *install* a freshly trained
-// backend into the serving registry (hot-swap observable via epoch() and
-// pointer identity) and reset the staleness age — not merely bump a
-// counter.
+// A retrain event on the virtual timeline must *install* a backend into the
+// serving registry (hot-swap observable via epoch()) and reset the
+// staleness age — not merely bump a counter. In closed-world replay the
+// retrained model is the deployed one, so the same artifact is reinstalled.
 TEST(RetrainInstallation, EventsHotSwapFreshBackendsIntoRegistry) {
   auto& f = fixture();
   sim::MethodFactory factory(f.split.train, cost::Rates{},
@@ -320,13 +369,12 @@ TEST(RetrainInstallation, EventsHotSwapFreshBackendsIntoRegistry) {
 
   EXPECT_GT(result.retrain_events, 0u);
   EXPECT_EQ(context.staleness->retrain_count(), result.retrain_events);
-  // Every retrain event installed exactly one fresh default backend.
+  // Every retrain event installed exactly one default backend.
   EXPECT_EQ(context.registry->epoch(),
             epoch_before + result.retrain_events);
   const ModelBackendPtr now_serving = context.registry->lookup(probe);
   ASSERT_NE(now_serving, nullptr);
-  EXPECT_NE(now_serving, deployed) << "retrain did not swap the backend";
-  // The freshly installed backend serves the same label space.
+  EXPECT_EQ(now_serving, deployed) << "retrain installed a new artifact";
   EXPECT_EQ(now_serving->num_categories(), deployed->num_categories());
   // And the age really restarted: the current epoch is the last retrain,
   // not the deployment epoch.

@@ -665,7 +665,6 @@ TEST(AsyncServingEquivalence, ServedSweepMatchesOfflineBatched) {
   auto hints = std::make_shared<const core::CategoryHints>(
       core::precompute_categories(*f.registry, f.split.test.jobs(),
                                   f.model->num_categories()));
-  factory.set_category_model(*f.model);
   factory.set_predicted_hints(hints);
 
   sim::ExperimentRunner runner;
@@ -829,13 +828,12 @@ TEST(NoisyCells, ParallelNoisyGridMatchesSerialBitExactly) {
   auto& f = fixture();
   sim::MethodFactory factory(f.split.train, cost::Rates{},
                              small_model_config());
-  factory.set_category_model(*f.model);
 
   sim::ExperimentRunner runner(4);
   const auto index = runner.add_cluster(&factory, &f.split.test);
   auto cells = runner.make_grid(index, {sim::MethodId::kAdaptiveRanking},
                                 {0.01, 0.1}, /*base_seed=*/7);
-  for (auto& cell : cells) cell.hint_noise = 0.25;
+  for (auto& cell : cells) cell.make.hint_noise = 0.25;
 
   const auto parallel = runner.run(cells);
   const auto serial = runner.run_serial(cells);

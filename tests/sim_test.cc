@@ -455,8 +455,8 @@ TEST_F(ExperimentFactoryTest, ParallelLatencyCellsMatchSerialBitExactly) {
       pc, {MethodId::kAdaptiveServedLatency, MethodId::kAdaptiveRanking},
       {0.01, 0.05});
   for (auto& cell : cells) {
-    cell.hint_latency = 0.5;
-    cell.retrain_period = 43200.0;
+    cell.make.hint_latency = 0.5;
+    cell.make.retrain_period = 43200.0;
   }
   const auto a = parallel.run(cells);
   const auto b = serial.run_serial(cells);
@@ -516,16 +516,6 @@ TEST_F(ExperimentFactoryTest, OracleBeatsFirstFitAtTightQuota) {
   const auto ff =
       run_method(factory(), MethodId::kFirstFit, split().test, cap);
   EXPECT_GT(oracle.tco_savings_pct(), ff.tco_savings_pct());
-}
-
-TEST_F(ExperimentFactoryTest, ExternalModelInjection) {
-  MethodFactory other(split().train);
-  core::CategoryModelConfig mc;
-  mc.num_categories = 8;
-  mc.gbdt.num_rounds = 5;
-  other.set_category_model(
-      core::CategoryModel::train(split().train.jobs(), mc));
-  EXPECT_EQ(other.category_model().num_categories(), 8);
 }
 
 // ----------------------------------------------------------------- metrics

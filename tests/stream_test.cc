@@ -231,7 +231,7 @@ void expect_result_eq(const sim::SimResult& a, const sim::SimResult& b) {
   }
 }
 
-sim::MakeOptions options_for(sim::MethodId id) {
+sim::MakeOptions cell_options(sim::MethodId id) {
   sim::MakeOptions options;
   if (id == sim::MethodId::kAdaptiveServedLatency) {
     options.hint_latency = 0.05;
@@ -273,7 +273,7 @@ TEST(StreamingSimulate, BitIdenticalForEveryMethod) {
         sim::MethodId::kAdaptiveServed,
         sim::MethodId::kAdaptiveServedLatency}) {
     SCOPED_TRACE(sim::method_name(id));
-    expect_streaming_matches_materialized(id, options_for(id), 256);
+    expect_streaming_matches_materialized(id, cell_options(id), 256);
   }
 }
 
@@ -308,7 +308,7 @@ struct CollectingSink final : public sim::CounterSink {
 TEST(SoakCounters, RowsTelescopeToTotalsAndNeverPerturbTheRun) {
   auto& f = fixture();
   const sim::MethodId id = sim::MethodId::kAdaptiveServedLatency;
-  const sim::MakeOptions options = options_for(id);
+  const sim::MakeOptions options = cell_options(id);
   const std::uint64_t cap = sim::quota_capacity(f.test, 0.05);
 
   harness::StreamingRunOptions plain;
