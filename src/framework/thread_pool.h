@@ -1,4 +1,5 @@
-// Fixed-size worker pool used by the parallel experiment engine.
+// Fixed-size worker pool used by the parallel experiment engine and, one
+// pool per GbdtClassifier::train call, by the GBDT trainer.
 //
 // Deliberately simple (no work stealing): the experiment grid is a static
 // set of coarse, independent cells, so a shared FIFO queue keeps every
@@ -11,7 +12,8 @@
 //
 // Nested use (calling submit/parallel_for from inside a pool task) is not
 // supported and may deadlock; the experiment engine only parallelizes the
-// outermost grid loop.
+// outermost grid loop. A task may run its own, separate pool (a training
+// cell's GbdtClassifier::train does).
 #pragma once
 
 #include <cstddef>

@@ -25,6 +25,8 @@ std::size_t Dataset::feature_index(const std::string& name) const {
 
 Binner Binner::fit(const Dataset& data, int max_bins) {
   if (max_bins < 2) throw std::invalid_argument("Binner: max_bins >= 2");
+  // Codes are uint8, and the tree builder's histograms hold 256 bins.
+  if (max_bins > 256) throw std::invalid_argument("Binner: max_bins <= 256");
   Binner binner;
   binner.edges_.resize(data.num_features());
   std::vector<float> column(data.num_rows());

@@ -44,7 +44,8 @@ class Dataset {
 // land in the last bin.
 class Binner {
  public:
-  // Builds <= max_bins quantile bins per feature from the dataset.
+  // Builds <= max_bins quantile bins per feature from the dataset;
+  // max_bins must lie in [2, 256].
   static Binner fit(const Dataset& data, int max_bins);
 
   int num_bins(std::size_t feature) const {

@@ -9,6 +9,8 @@ namespace byom::ml {
 // Appends one node slot to the SoA arena and returns its index.
 namespace {
 constexpr std::int32_t kMaxFeature = 0xFFFF;
+// Node levels and the kernels' depth loop count are uint16_t.
+constexpr std::uint16_t kMaxLevel = 0xFFFF;
 }  // namespace
 
 int FlatForest::compile_tree(const std::vector<RegressionTree::Node>& nodes,
@@ -58,6 +60,13 @@ int FlatForest::compile_tree(const std::vector<RegressionTree::Node>& nodes,
       throw std::invalid_argument(
           "FlatForest::compile: split feature exceeds the packed uint16 "
           "index");
+    }
+    if (level == kMaxLevel) {
+      // A deeper child would wrap depth_, and the batch kernels would stop
+      // on an internal node and read a leaf through its child index.
+      throw std::invalid_argument(
+          "FlatForest::compile: tree deeper than the packed uint16 level "
+          "count");
     }
     threshold_[static_cast<std::size_t>(slot)] = node.threshold;
     feature_[static_cast<std::size_t>(slot)] =

@@ -60,7 +60,8 @@ class FlatForest {
   // a regressor is the num_classes == 1 case. `base_score` seeds every
   // accumulator (the regressor's mean target; 0 for the classifier).
   // Throws std::invalid_argument when a split feature does not fit the
-  // packed uint16_t feature index.
+  // packed uint16_t feature index, or a tree is more than 0xFFFF levels
+  // deep (node levels are uint16_t).
   static FlatForest compile(const std::vector<RegressionTree>& trees,
                             int num_classes, double learning_rate,
                             double base_score = 0.0);

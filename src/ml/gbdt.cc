@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "common/rng.h"
+#include "framework/thread_pool.h"
 
 namespace byom::ml {
 
@@ -73,39 +74,76 @@ void GbdtClassifier::train(const Dataset& data, const std::vector<int>& labels,
   const Binner binner = Binner::fit(data, params.max_bins);
   const auto codes = binner.transform(data);
 
-  // Raw scores F[k * n + i] and per-round probabilities P[k * n + i].
+  // Raw scores F[k * n + i], plus each row's softmax max and normaliser
+  // over the round's starting scores: p_k = exp(F_k - max) / sum, the same
+  // bits softmax_inplace produces.
   std::vector<double> scores(k * n, 0.0);
-  std::vector<double> probs(k * n, 0.0);
-  std::vector<double> grad(n), hess(n);
+  std::vector<double> row_max(n), row_sum(n);
   common::Rng rng(params.seed);
+
+  // A round's class trees are independent: class c's gradients read only
+  // the round's starting scores, and its tree updates only F_c. So one
+  // worker per class stride fits them in parallel, with the same bits at
+  // any worker count. Everything a worker touches is sized here, on the
+  // calling thread: a worker that allocated would get its own malloc arena
+  // and grow resident memory for nothing.
+  struct Worker {
+    Worker(std::size_t n, const TreeParams& tree)
+        : grad(n), hess(n), scratch(n, tree) {}
+    std::vector<double> grad, hess;
+    RegressionTree::Scratch scratch;
+  };
+  const std::size_t num_workers =
+      std::min(k, framework::resolve_shard_count(0));
+  std::vector<Worker> workers;
+  workers.reserve(num_workers);
+  for (std::size_t w = 0; w < num_workers; ++w) {
+    workers.emplace_back(n, params.tree);
+  }
+  std::vector<RegressionTree> round_trees(k);
+  for (auto& tree : round_trees) {
+    tree.reserve(workers.front().scratch.max_nodes());
+  }
+  std::vector<std::uint32_t> rows;
+  const auto fit_class = [&](std::size_t c, Worker& worker) {
+    double* const f = scores.data() + c * n;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double p = std::exp(f[i] - row_max[i]) / row_sum[i];
+      const double y = labels[i] == static_cast<int>(c) ? 1.0 : 0.0;
+      worker.grad[i] = p - y;
+      worker.hess[i] = std::max(p * (1.0 - p), 1e-6);
+    }
+    worker.scratch.rows.assign(rows.begin(), rows.end());
+    RegressionTree& tree = round_trees[c];
+    tree.fit_in_place(codes, binner, worker.grad, worker.hess, params.tree,
+                      worker.scratch);
+    for (std::size_t i = 0; i < n; ++i) {
+      f[i] += learning_rate_ * tree.predict(data.row(i));
+    }
+  };
+  framework::ThreadPool pool(num_workers);
 
   const int max_rounds =
       std::min(params.num_rounds,
                std::max(1, params.max_trees_total / num_classes));
-  std::vector<double> row_scores(k);
   for (int round = 0; round < max_rounds; ++round) {
-    const auto rows = subsample_rows(n, params.row_subsample, rng);
-    // Softmax over classes, once per row per round.
+    rows = subsample_rows(n, params.row_subsample, rng);
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < k; ++j) row_scores[j] = scores[j * n + i];
-      softmax_inplace(row_scores);
-      for (std::size_t j = 0; j < k; ++j) probs[j * n + i] = row_scores[j];
-    }
-    for (int cls = 0; cls < num_classes; ++cls) {
-      const auto c = static_cast<std::size_t>(cls);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double p = probs[c * n + i];
-        const double y = labels[i] == cls ? 1.0 : 0.0;
-        grad[i] = p - y;
-        hess[i] = std::max(p * (1.0 - p), 1e-6);
+      double m = scores[i];
+      for (std::size_t j = 0; j < k; ++j) m = std::max(m, scores[j * n + i]);
+      double sum = 0.0;
+      for (std::size_t j = 0; j < k; ++j) {
+        sum += std::exp(scores[j * n + i] - m);
       }
-      RegressionTree tree =
-          RegressionTree::fit(codes, binner, grad, hess, rows, params.tree);
-      for (std::size_t i = 0; i < n; ++i) {
-        scores[c * n + i] += learning_rate_ * tree.predict(data.row(i));
-      }
-      trees_.push_back(std::move(tree));
+      row_max[i] = m;
+      row_sum[i] = sum;
     }
+    pool.parallel_for(0, num_workers, [&](std::size_t w) {
+      for (std::size_t c = w; c < k; c += num_workers) {
+        fit_class(c, workers[w]);
+      }
+    });
+    trees_.insert(trees_.end(), round_trees.begin(), round_trees.end());
   }
   recompile();
 }

@@ -34,6 +34,9 @@ class GbdtClassifier {
  public:
   GbdtClassifier() = default;
 
+  // Fits each round's class trees in parallel on a framework::ThreadPool of
+  // min(num_classes, hardware cores) threads; the trees are bit-identical
+  // at any thread count.
   void train(const Dataset& data, const std::vector<int>& labels,
              int num_classes, const GbdtParams& params = GbdtParams{});
 

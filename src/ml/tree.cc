@@ -25,110 +25,147 @@ double leaf_objective(double g, double h, double lambda) {
 
 }  // namespace
 
+RegressionTree::Scratch::Scratch(std::size_t max_rows,
+                                 const TreeParams& params)
+    : right_(max_rows) {
+  rows.reserve(max_rows);
+  // Every split leaves both sides non-empty, so a tree is at most
+  // max_rows - 1 levels deep and has at most one leaf per row.
+  const auto depth = static_cast<std::size_t>(std::max(params.max_depth, 0));
+  const std::size_t levels = std::min(depth, max_rows);
+  stack_.reserve(levels + 1);
+  const std::size_t by_rows = 2 * std::max<std::size_t>(max_rows, 1) - 1;
+  max_nodes_ = levels >= 62 ? by_rows
+                            : std::min((std::size_t{2} << levels) - 1, by_rows);
+}
+
 RegressionTree RegressionTree::fit(
     const std::vector<std::vector<std::uint8_t>>& codes, const Binner& binner,
     const std::vector<double>& grad, const std::vector<double>& hess,
     const std::vector<std::uint32_t>& rows, const TreeParams& params) {
+  Scratch scratch(rows.size(), params);
+  scratch.rows = rows;
   RegressionTree tree;
-  std::vector<std::uint32_t> mutable_rows = rows;
-  tree.build(codes, binner, grad, hess, mutable_rows, params, 0);
+  tree.reserve(scratch.max_nodes());
+  tree.fit_in_place(codes, binner, grad, hess, params, scratch);
   return tree;
 }
 
-// Recursively builds the subtree over `rows` (which it may reorder) and
-// returns the node index.
-int RegressionTree::build(const std::vector<std::vector<std::uint8_t>>& codes,
-                          const Binner& binner,
-                          const std::vector<double>& grad,
-                          const std::vector<double>& hess,
-                          std::vector<std::uint32_t>& rows,
-                          const TreeParams& params, int depth) {
-  double g_total = 0.0, h_total = 0.0;
-  for (std::uint32_t r : rows) {
-    g_total += grad[r];
-    h_total += hess[r];
+// hotpath: the tree builder — runs on the training pool's workers, whose
+// allocations would each cost a malloc arena of resident memory.
+void RegressionTree::fit_in_place(
+    const std::vector<std::vector<std::uint8_t>>& codes, const Binner& binner,
+    const std::vector<double>& grad, const std::vector<double>& hess,
+    const TreeParams& params, Scratch& scratch) {
+  constexpr int kMaxBins = 256;  // codes are uint8
+  if (scratch.rows.size() > scratch.right_.size()) {
+    // The partition would stage right rows past the staging buffer.
+    throw std::invalid_argument(
+        "RegressionTree::fit_in_place: more rows than the scratch holds");
   }
-
-  const int node_index = static_cast<int>(nodes_.size());
-  nodes_.push_back(Node{});
-  nodes_[static_cast<std::size_t>(node_index)].value =
-      -g_total / (h_total + params.lambda);
-
-  if (depth >= params.max_depth ||
-      rows.size() < 2 * static_cast<std::size_t>(params.min_samples_leaf)) {
-    return node_index;
-  }
-
-  // Histogram scan: find the best (feature, bin) split.
-  SplitChoice best;
-  const double parent_obj = leaf_objective(g_total, h_total, params.lambda);
-  std::vector<double> bin_g, bin_h;
-  std::vector<int> bin_n;
-  for (std::size_t f = 0; f < codes.size(); ++f) {
-    const int nbins = binner.num_bins(f);
-    if (nbins < 2) continue;
-    bin_g.assign(static_cast<std::size_t>(nbins), 0.0);
-    bin_h.assign(static_cast<std::size_t>(nbins), 0.0);
-    bin_n.assign(static_cast<std::size_t>(nbins), 0);
-    const auto& col = codes[f];
-    for (std::uint32_t r : rows) {
-      const std::uint8_t b = col[r];
-      bin_g[b] += grad[r];
-      bin_h[b] += hess[r];
-      ++bin_n[b];
+  std::uint32_t* const rows = scratch.rows.data();
+  nodes_.clear();
+  scratch.stack_.clear();
+  scratch.stack_.push_back(
+      {0, static_cast<std::uint32_t>(scratch.rows.size()), 0, -1});
+  // Popping the left child before the right one numbers nodes in preorder:
+  // a split node's left child is the next node emitted.
+  while (!scratch.stack_.empty()) {
+    const Scratch::Frame frame = scratch.stack_.back();
+    scratch.stack_.pop_back();
+    const std::size_t count = frame.end - frame.begin;
+    const int node_index = static_cast<int>(nodes_.size());
+    if (frame.parent >= 0) {
+      nodes_[static_cast<std::size_t>(frame.parent)].right = node_index;
     }
-    double gl = 0.0, hl = 0.0;
-    int nl = 0;
-    for (int b = 0; b < nbins - 1; ++b) {
-      gl += bin_g[static_cast<std::size_t>(b)];
-      hl += bin_h[static_cast<std::size_t>(b)];
-      nl += bin_n[static_cast<std::size_t>(b)];
-      const int nr = static_cast<int>(rows.size()) - nl;
-      if (nl < params.min_samples_leaf || nr < params.min_samples_leaf) {
-        continue;
+
+    double g_total = 0.0, h_total = 0.0;
+    for (std::uint32_t i = frame.begin; i < frame.end; ++i) {
+      g_total += grad[rows[i]];
+      h_total += hess[rows[i]];
+    }
+    nodes_.push_back(Node{});
+    nodes_.back().value = -g_total / (h_total + params.lambda);
+
+    if (frame.depth >= params.max_depth ||
+        count < 2 * static_cast<std::size_t>(params.min_samples_leaf)) {
+      continue;
+    }
+
+    // Histogram scan: find the best (feature, bin) split.
+    SplitChoice best;
+    const double parent_obj = leaf_objective(g_total, h_total, params.lambda);
+    double bin_g[kMaxBins];
+    double bin_h[kMaxBins];
+    int bin_n[kMaxBins];
+    for (std::size_t f = 0; f < codes.size(); ++f) {
+      const int nbins = binner.num_bins(f);
+      if (nbins < 2) continue;
+      std::fill_n(bin_g, nbins, 0.0);
+      std::fill_n(bin_h, nbins, 0.0);
+      std::fill_n(bin_n, nbins, 0);
+      const std::uint8_t* const col = codes[f].data();
+      for (std::uint32_t i = frame.begin; i < frame.end; ++i) {
+        const std::uint32_t r = rows[i];
+        const std::uint8_t b = col[r];
+        bin_g[b] += grad[r];
+        bin_h[b] += hess[r];
+        ++bin_n[b];
       }
-      const double gr = g_total - gl;
-      const double hr = h_total - hl;
-      if (hl < params.min_child_hessian || hr < params.min_child_hessian) {
-        continue;
-      }
-      const double gain = leaf_objective(gl, hl, params.lambda) +
-                          leaf_objective(gr, hr, params.lambda) - parent_obj;
-      if (gain > best.gain) {
-        best = {gain, static_cast<int>(f), b};
+      double gl = 0.0, hl = 0.0;
+      int nl = 0;
+      for (int b = 0; b < nbins - 1; ++b) {
+        gl += bin_g[b];
+        hl += bin_h[b];
+        nl += bin_n[b];
+        const int nr = static_cast<int>(count) - nl;
+        if (nl < params.min_samples_leaf || nr < params.min_samples_leaf) {
+          continue;
+        }
+        const double gr = g_total - gl;
+        const double hr = h_total - hl;
+        if (hl < params.min_child_hessian || hr < params.min_child_hessian) {
+          continue;
+        }
+        const double gain = leaf_objective(gl, hl, params.lambda) +
+                            leaf_objective(gr, hr, params.lambda) - parent_obj;
+        if (gain > best.gain) {
+          best = {gain, static_cast<int>(f), b};
+        }
       }
     }
+    if (best.feature < 0 || best.gain < params.min_split_gain) continue;
+
+    // Stable partition of the node's range around the chosen split: left
+    // rows compact in place, right rows stage in scratch and follow them.
+    const std::uint8_t* const col =
+        codes[static_cast<std::size_t>(best.feature)].data();
+    const auto split_bin = static_cast<std::uint8_t>(best.bin);
+    std::uint32_t* const right = scratch.right_.data();
+    std::uint32_t mid = frame.begin;
+    std::size_t num_right = 0;
+    for (std::uint32_t i = frame.begin; i < frame.end; ++i) {
+      const std::uint32_t r = rows[i];
+      if (col[r] <= split_bin) {
+        rows[mid++] = r;
+      } else {
+        right[num_right++] = r;
+      }
+    }
+    if (mid == frame.begin || mid == frame.end) {
+      continue;  // should not happen given min_samples_leaf guards
+    }
+    std::copy_n(right, num_right, rows + mid);
+
+    Node& node = nodes_.back();
+    node.leaf = false;
+    node.feature = best.feature;
+    node.threshold =
+        binner.upper_edge(static_cast<std::size_t>(best.feature), best.bin);
+    node.left = node_index + 1;
+    scratch.stack_.push_back({mid, frame.end, frame.depth + 1, node_index});
+    scratch.stack_.push_back({frame.begin, mid, frame.depth + 1, -1});
   }
-
-  if (best.feature < 0 || best.gain < params.min_split_gain) {
-    return node_index;
-  }
-
-  // Partition rows in place around the chosen split.
-  const auto& col = codes[static_cast<std::size_t>(best.feature)];
-  auto mid_it = std::stable_partition(
-      rows.begin(), rows.end(), [&](std::uint32_t r) {
-        return col[r] <= static_cast<std::uint8_t>(best.bin);
-      });
-  std::vector<std::uint32_t> left_rows(rows.begin(), mid_it);
-  std::vector<std::uint32_t> right_rows(mid_it, rows.end());
-  if (left_rows.empty() || right_rows.empty()) {
-    return node_index;  // should not happen given min_samples_leaf guards
-  }
-
-  const int left = build(codes, binner, grad, hess, left_rows, params,
-                         depth + 1);
-  const int right = build(codes, binner, grad, hess, right_rows, params,
-                          depth + 1);
-
-  Node& node = nodes_[static_cast<std::size_t>(node_index)];
-  node.leaf = false;
-  node.feature = best.feature;
-  node.threshold =
-      binner.upper_edge(static_cast<std::size_t>(best.feature), best.bin);
-  node.left = left;
-  node.right = right;
-  return node_index;
 }
 
 double RegressionTree::predict(const float* features) const {

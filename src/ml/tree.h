@@ -32,14 +32,55 @@ class RegressionTree {
     double value = 0.0;  // leaf weight
   };
 
-  // Trains on binned columns: codes[f][r] in [0, num_bins(f)).
-  // grad/hess are per-row first/second order gradients; `rows` selects the
-  // training subset (supports row subsampling).
+  // Working memory of fit_in_place, sized once on the constructing thread
+  // for trees over up to `max_rows` rows and reused across fits, so a
+  // build touches no heap.
+  class Scratch {
+   public:
+    Scratch(std::size_t max_rows, const TreeParams& params);
+    // Node capacity a tree over `max_rows` rows needs: a full binary tree
+    // of params.max_depth levels, capped by one leaf per row.
+    std::size_t max_nodes() const { return max_nodes_; }
+
+    // The tree's training rows (a subset of the code columns' rows, at most
+    // max_rows): assign before each fit; the build reorders them.
+    std::vector<std::uint32_t> rows;
+
+   private:
+    friend class RegressionTree;
+    struct Frame {
+      std::uint32_t begin;  // the node's rows: rows[begin, end)
+      std::uint32_t end;
+      int depth;
+      int parent;  // right children: the node whose .right this is; else -1
+    };
+    std::vector<std::uint32_t> right_;  // stable-partition staging
+    std::vector<Frame> stack_;          // pending nodes, depth-first
+    std::size_t max_nodes_ = 1;
+  };
+
+  // Trains on binned columns: codes[f][r] in [0, num_bins(f)), at most
+  // 256 bins per feature (Binner::fit's cap). grad/hess are per-row first
+  // and second order gradients; `rows` selects the training subset
+  // (supports row subsampling). A thin wrapper over fit_in_place that
+  // owns its scratch.
   static RegressionTree fit(
       const std::vector<std::vector<std::uint8_t>>& codes,
       const Binner& binner, const std::vector<double>& grad,
       const std::vector<double>& hess, const std::vector<std::uint32_t>& rows,
       const TreeParams& params);
+
+  // Replaces this tree with one trained on scratch.rows; throws
+  // std::invalid_argument past the scratch's max_rows. Allocation-free
+  // once reserve(scratch.max_nodes()) has sized the node array: nodes are
+  // emitted depth-first (a child always after its parent), each node's
+  // rows are a stably partitioned range of scratch.rows, and split
+  // histograms live on the stack.
+  void fit_in_place(const std::vector<std::vector<std::uint8_t>>& codes,
+                    const Binner& binner, const std::vector<double>& grad,
+                    const std::vector<double>& hess, const TreeParams& params,
+                    Scratch& scratch);
+  void reserve(std::size_t num_nodes) { nodes_.reserve(num_nodes); }
 
   // Predicts from raw (unbinned) feature values.
   double predict(const float* features) const;
@@ -65,11 +106,6 @@ class RegressionTree {
 
  private:
   std::vector<Node> nodes_;
-
-  int build(const std::vector<std::vector<std::uint8_t>>& codes,
-            const Binner& binner, const std::vector<double>& grad,
-            const std::vector<double>& hess, std::vector<std::uint32_t>& rows,
-            const TreeParams& params, int depth);
 };
 
 }  // namespace byom::ml

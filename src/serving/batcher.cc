@@ -21,8 +21,9 @@ Batcher::Batcher(InferenceRequestQueue* queue, const BatcherConfig& config,
 }
 
 bool Batcher::run_once() {
+  // No reserve (as in drain): a batch of a few requests would pay for
+  // max_batch of them.
   std::vector<InferenceRequest> batch;
-  batch.reserve(config_.max_batch);
 
   // Block for the first request on the queue's condition variable — no
   // timeout, so an idle worker sleeps instead of waking every 50 ms, and

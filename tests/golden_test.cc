@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "core/category_model.h"
 #include "core/model_backend.h"
 #include "features/feature_matrix.h"
 #include "harness/experiment.h"
@@ -121,13 +122,14 @@ class GoldenDigestTest : public ::testing::Test {
     }();
     return s;
   }
+  static core::CategoryModelConfig model_config() {
+    core::CategoryModelConfig mc;
+    mc.num_categories = 8;
+    mc.gbdt.num_rounds = 10;
+    return mc;
+  }
   static MethodFactory& factory() {
-    static MethodFactory f = [] {
-      core::CategoryModelConfig mc;
-      mc.num_categories = 8;
-      mc.gbdt.num_rounds = 10;
-      return MethodFactory(split().train, cost::Rates{}, mc);
-    }();
+    static MethodFactory f(split().train, cost::Rates{}, model_config());
     return f;
   }
   static const std::map<std::string, std::string>& golden() {
@@ -256,6 +258,36 @@ TEST_F(GoldenDigestTest, GbdtScoreBitsAcrossBatchSizes) {
                   h.value());
     }
   }
+}
+
+std::uint64_t digest(const core::CategoryModel& model) {
+  std::ostringstream out;
+  model.save(out);
+  Fnv1a h;
+  for (const char c : out.str()) h.add(c);
+  return h.value();
+}
+
+// The serialized models: the factory's cluster model, and the first
+// pipeline fleet_options() assigns a GBDT, trained on its own history the
+// way MethodFactory::backend trains a per-pipeline backend.
+TEST_F(GoldenDigestTest, TrainedModelBits) {
+  const auto models = load_digests("model_digests.txt");
+  expect_line(models, "cluster", digest(factory().category_model()));
+
+  const MakeOptions fleet = fleet_options();
+  const auto gbdt = std::find_if(
+      fleet.pipeline_backends.begin(), fleet.pipeline_backends.end(),
+      [](const auto& p) { return p.second == core::BackendKind::kGbdt; });
+  ASSERT_NE(gbdt, fleet.pipeline_backends.end());
+  std::vector<trace::Job> history;
+  for (const auto& job : split().train.jobs()) {
+    if (job.pipeline_name == gbdt->first) history.push_back(job);
+  }
+  ASSERT_GE(history.size(), 32u) << "pipeline would fall back to the cluster "
+                                    "model";
+  expect_line(models, "pipeline/" + gbdt->first,
+              digest(core::CategoryModel::train(history, model_config())));
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // zero-allocation feature pipeline:
 //   * allocation-count guards (a global operator new hook) pinning the
 //     "zero steady-state heap allocations" contract of
-//     FeatureExtractor::extract_into and SimClock::schedule_typed;
+//     FeatureExtractor::extract_into, SimClock::schedule_typed, the
+//     compiled forest scoring and the in-place GBDT tree builder;
 //   * bit-identity of the new paths against their references — matrix rows
 //     vs extract(), precompute_categories with vs without the shared
 //     FeatureMatrix for every backend kind, and the event engine vs the
@@ -11,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <vector>
 
 #include "core/byom.h"
@@ -22,6 +25,8 @@
 #include "features/feature_extractor.h"
 #include "features/feature_matrix.h"
 #include "harness/experiment.h"
+#include "ml/dataset.h"
+#include "ml/tree.h"
 #include "sim/sim_clock.h"
 #include "sim/simulator.h"
 #include "trace/generator.h"
@@ -132,6 +137,65 @@ TEST(AllocationGuard, TypedEventSchedulingIsAllocationFreeInSteadyState) {
   for (int r = 0; r < 8; ++r) round(256);
   EXPECT_EQ(allocations(), before)
       << "typed event scheduling allocated in steady state";
+}
+
+TEST(AllocationGuard, InPlaceTreeBuildIsAllocationFreeOverSizedScratch) {
+  // The GBDT trainer's worker loop: a tree fitted in place over scratch and
+  // a node array sized up front must not touch the heap, whatever shape
+  // the gradients give it, and must match the allocating fit() wrapper.
+  constexpr std::size_t kRows = 3000;
+  ml::Dataset data({"x0", "x1", "x2"});
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const double t = static_cast<double>(r);
+    data.add_row({static_cast<float>(std::sin(t)),
+                  static_cast<float>(std::cos(0.37 * t)),
+                  static_cast<float>(r % 17)});
+  }
+  const ml::Binner binner = ml::Binner::fit(data, 64);
+  const auto codes = binner.transform(data);
+  const ml::TreeParams params;
+  std::vector<double> grad(kRows), hess(kRows, 1.0);
+  std::vector<std::uint32_t> rows;
+  for (std::uint32_t r = 0; r < kRows; r += 1 + r % 3) rows.push_back(r);
+  ml::RegressionTree::Scratch scratch(kRows, params);
+  ml::RegressionTree tree;
+  tree.reserve(scratch.max_nodes());
+
+  const auto fit_round = [&](int round) {
+    for (std::size_t r = 0; r < kRows; ++r) {
+      grad[r] = std::sin(static_cast<double>(r * (round + 1)) * 0.01) +
+                data.at(r, 2) * 0.1 * round;
+    }
+    scratch.rows.assign(rows.begin(), rows.end());
+    tree.fit_in_place(codes, binner, grad, hess, params, scratch);
+  };
+  fit_round(0);  // warm-up
+  for (int round = 1; round < 6; ++round) {
+    const std::uint64_t before = allocations();
+    fit_round(round);
+    EXPECT_EQ(allocations(), before)
+        << "in-place tree build allocated in round " << round;
+    const auto reference =
+        ml::RegressionTree::fit(codes, binner, grad, hess, rows, params);
+    ASSERT_EQ(tree.num_nodes(), reference.num_nodes());
+    EXPECT_GT(tree.num_nodes(), 1u);
+    for (std::size_t i = 0; i < tree.num_nodes(); ++i) {
+      const auto& a = tree.nodes()[i];
+      const auto& b = reference.nodes()[i];
+      EXPECT_EQ(a.leaf, b.leaf);
+      EXPECT_EQ(a.feature, b.feature);
+      EXPECT_EQ(a.threshold, b.threshold);
+      EXPECT_EQ(a.left, b.left);
+      EXPECT_EQ(a.right, b.right);
+      EXPECT_EQ(a.value, b.value);
+    }
+  }
+  // A row set larger than the scratch was sized for is refused, not
+  // partitioned past the staging buffer.
+  ml::RegressionTree::Scratch small(rows.size() - 1, params);
+  small.rows.assign(rows.begin(), rows.end());
+  EXPECT_THROW(tree.fit_in_place(codes, binner, grad, hess, params, small),
+               std::invalid_argument);
 }
 
 TEST(AllocationGuard, CompiledBatchScoringIsAllocationFreeInSteadyState) {

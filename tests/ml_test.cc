@@ -121,6 +121,13 @@ TEST(Binner, RejectsTooFewBins) {
   EXPECT_THROW(Binner::fit(d, 1), std::invalid_argument);
 }
 
+TEST(Binner, RejectsMoreBinsThanUint8Codes) {
+  Dataset d({"x"});
+  d.add_row({1.0f});
+  EXPECT_NO_THROW(Binner::fit(d, 256));
+  EXPECT_THROW(Binner::fit(d, 257), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------- tree
 
 TEST(RegressionTree, FitsAStep) {
@@ -234,6 +241,20 @@ TEST(RegressionTree, LoadRejectsBadSplits) {
   const float high[1] = {0.75f};
   EXPECT_EQ(tree.predict(low), 1.0);
   EXPECT_EQ(tree.predict(high), 2.0);
+}
+
+TEST(RegressionTree, LoadRejectsNonFiniteThresholdsAndLeaves) {
+  // Node format: leaf feature threshold left right value. Extraction of
+  // nan, inf or an out-of-range literal sets failbit, so the loader throws
+  // instead of admitting a split no feature value can reach consistently.
+  for (const std::string bad : {"nan", "inf", "-inf", "1e999"}) {
+    SCOPED_TRACE(bad);
+    std::stringstream threshold("3\n0 0 " + bad +
+                                " 1 2 0\n1 -1 0 -1 -1 1\n1 -1 0 -1 -1 2\n");
+    EXPECT_THROW(RegressionTree::load(threshold), std::runtime_error);
+    std::stringstream leaf("1\n1 -1 0 -1 -1 " + bad + "\n");
+    EXPECT_THROW(RegressionTree::load(leaf), std::runtime_error);
+  }
 }
 
 TEST(RegressionTree, LoadRejectsHugeNodeCountWithoutAllocatingIt) {
@@ -377,6 +398,36 @@ TEST(GbdtClassifier, LoadRejectsHugeTreeCountAndZeroClasses) {
   // The same single tree as a one-class model loads.
   std::stringstream valid("gbdt_classifier v1\n1 1 0.1\n" + one_tree);
   EXPECT_EQ(GbdtClassifier::load(valid).num_trees(), 1u);
+}
+
+// A one-tree classifier whose tree is a chain of `levels` splits on
+// feature 0: node 2j splits at 0.5 into leaf 2j + 1 (value 1) and node
+// 2j + 2; the last node is a leaf of value 2 at depth `levels`.
+std::string chain_classifier(int levels) {
+  std::ostringstream text;
+  text << "gbdt_classifier v1\n1 1 1\n" << 2 * levels + 1 << '\n';
+  for (int j = 0; j < levels; ++j) {
+    text << "0 0 0.5 " << 2 * j + 1 << ' ' << 2 * j + 2 << " 0\n"
+         << "1 -1 0 -1 -1 1\n";
+  }
+  text << "1 -1 0 -1 -1 2\n";
+  return text.str();
+}
+
+TEST(GbdtClassifier, LoadRejectsTreesDeeperThanUint16Levels) {
+  // 0xFFFF levels is the deepest the compiled forest can count: it loads,
+  // and the blocked kernel walks one row off the first split and one down
+  // the whole chain to the last leaf.
+  std::stringstream deepest(chain_classifier(0xFFFF));
+  const auto model = GbdtClassifier::load(deepest);
+  const float rows[2] = {0.25f, 1.0f};
+  double scores[2] = {0.0, 0.0};
+  model.scores_batch(rows, 1, 2, scores);
+  EXPECT_EQ(scores[0], 1.0);
+  EXPECT_EQ(scores[1], 2.0);
+  // One level more would wrap the uint16 depth count.
+  std::stringstream too_deep(chain_classifier(0x10000));
+  EXPECT_THROW(GbdtClassifier::load(too_deep), std::invalid_argument);
 }
 
 TEST(GbdtRegressor, LoadRejectsHugeTreeCount) {
