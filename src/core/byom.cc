@@ -1,8 +1,9 @@
 #include "core/byom.h"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -41,47 +42,88 @@ CategoryProviderPtr make_registry_provider(
   return std::make_shared<RegistryProvider>(std::move(registry));
 }
 
+namespace {
+
+// Jobs grouped per pass: the grouping scratch for this many lives on the
+// stack.
+constexpr std::size_t kGroupChunk = 64;
+
+// predict_categories over at most kGroupChunk jobs.
+void predict_chunk(const ModelRegistry& registry,
+                   common::Span<const trace::Job* const> jobs,
+                   int fallback_num_categories,
+                   const features::FeatureMatrix* matrix, int* out) {
+  const std::size_t n = jobs.size();
+  // Each job's backend (null: hash fallback). Holding the handle keeps a
+  // backend that a concurrent hot-swap replaces alive through this pass.
+  std::array<ModelBackendPtr, kGroupChunk> owner;
+  bool one_owner = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    owner[i] = registry.lookup(*jobs[i]);
+    one_owner = one_owner && owner[i] == owner[0];
+  }
+  if (one_owner && owner[0]) {
+    owner[0]->predict_into(jobs, matrix, common::Span<int>(out, n));
+    return;
+  }
+  // The distinct backends in first-seen order: group leader i gathers
+  // every later job with the same backend and marks it grouped.
+  std::array<const trace::Job*, kGroupChunk> members;
+  std::array<int, kGroupChunk> categories;
+  std::array<std::size_t, kGroupChunk> slot;
+  std::uint64_t grouped = 0;  // bit i: job i already predicted
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((grouped >> i) & 1U) continue;
+    if (!owner[i]) {
+      out[i] = hash_category(*jobs[i], fallback_num_categories);
+      continue;
+    }
+    std::size_t m = 0;
+    for (std::size_t j = i; j < n; ++j) {
+      if (owner[j] != owner[i]) continue;
+      members[m] = jobs[j];
+      slot[m++] = j;
+      grouped |= std::uint64_t{1} << j;
+    }
+    owner[i]->predict_into(
+        common::Span<const trace::Job* const>(members.data(), m), matrix,
+        common::Span<int>(categories.data(), m));
+    for (std::size_t g = 0; g < m; ++g) out[slot[g]] = categories[g];
+  }
+}
+
+}  // namespace
+
+// hotpath: one call per served batch; groups on the stack, no hash maps.
+void predict_categories(const ModelRegistry& registry,
+                        common::Span<const trace::Job* const> jobs,
+                        int fallback_num_categories,
+                        const features::FeatureMatrix* matrix,
+                        common::Span<int> out) {
+  if (out.size() != jobs.size()) {
+    throw std::invalid_argument("predict_categories: out.size() != jobs");
+  }
+  for (std::size_t first = 0; first < jobs.size(); first += kGroupChunk) {
+    const std::size_t n = std::min(kGroupChunk, jobs.size() - first);
+    predict_chunk(registry, jobs.subspan(first, n), fallback_num_categories,
+                  matrix, out.data() + first);
+  }
+}
+
 CategoryHints precompute_categories(const ModelRegistry& registry,
                                     const std::vector<trace::Job>& jobs,
                                     int fallback_num_categories,
                                     const features::FeatureMatrix* matrix) {
+  std::vector<const trace::Job*> pointers;
+  pointers.reserve(jobs.size());
+  for (const auto& job : jobs) pointers.push_back(&job);
+  std::vector<int> categories(jobs.size());
+  predict_categories(registry, pointers, fallback_num_categories, matrix,
+                     categories);
   CategoryHints hints;
   hints.reserve(jobs.size());
-
-  // Group job indices by responsible backend so each backend sees one
-  // batch. The group holds a shared_ptr: a concurrent hot-swap cannot
-  // destroy a backend this pass is still predicting with.
-  struct Group {
-    ModelBackendPtr backend;
-    std::vector<std::size_t> indices;
-  };
-  std::unordered_map<const ModelBackend*, Group> groups;
-  // Built on the first job without a backend: a served one-job batch
-  // routed to a model never pays for it.
-  CategoryProviderPtr fallback;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (ModelBackendPtr backend = registry.lookup(jobs[i])) {
-      Group& group = groups[backend.get()];
-      if (!group.backend) group.backend = std::move(backend);
-      group.indices.push_back(i);
-    } else {
-      if (!fallback) fallback = make_hash_provider(fallback_num_categories);
-      hints.emplace(jobs[i].job_id, fallback->category(jobs[i]).value_or(0));
-    }
-  }
-  for (const auto& [key, group] : groups) {
-    (void)key;
-    std::vector<const trace::Job*> batch;
-    batch.reserve(group.indices.size());
-    for (const std::size_t index : group.indices) {
-      batch.push_back(&jobs[index]);
-    }
-    const auto categories = group.backend->predict_batch(
-        common::Span<const trace::Job* const>(batch.data(), batch.size()),
-        matrix);
-    for (std::size_t b = 0; b < group.indices.size(); ++b) {
-      hints.emplace(jobs[group.indices[b]].job_id, categories[b]);
-    }
+    hints.emplace(jobs[i].job_id, categories[i]);
   }
   return hints;
 }

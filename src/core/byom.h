@@ -23,6 +23,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/span.h"
 #include "core/category_model.h"
 #include "core/category_provider.h"
 #include "core/model_registry.h"
@@ -37,16 +38,28 @@ namespace byom::core {
 CategoryProviderPtr make_registry_provider(
     std::shared_ptr<const ModelRegistry> registry);
 
-// Batched hint precomputation: groups `jobs` by their responsible backend
-// and runs one ModelBackend::predict_batch per backend (the GBDT backend's
-// node-block traversal instead of one tree-walk per job). Jobs with no
-// backend get the hash fallback so the resulting table covers every job.
-// Categories are identical to per-job registry lookup. This is also the
-// batch-execution path of serving::PlacementService, which is what makes
-// served hints bit-identical to offline-batched ones. When `matrix` (the
+// Batched inference through the registry: out[i] becomes jobs[i]'s
+// category (out.size() == jobs.size()). Jobs are grouped by their
+// responsible backend — a small linear list of the distinct backends, on
+// the stack, a chunk of jobs at a time — and each group runs one
+// ModelBackend::predict_into, so a backend sees its jobs as one batch.
+// Jobs with no backend get the hash fallback over
+// `fallback_num_categories` (hash_category). Categories are identical to
+// per-job registry lookup and independent of batch composition. This is
+// the batch-execution path of serving::PlacementService, which is what
+// makes served hints bit-identical to offline-batched ones; it allocates
+// nothing beyond what the backends' predict_into do. When `matrix` (the
 // trace's shared features::FeatureMatrix) is non-null, feature-driven
 // backends read its pre-extracted rows instead of re-tokenizing each job —
 // bit-identical either way.
+void predict_categories(const ModelRegistry& registry,
+                        common::Span<const trace::Job* const> jobs,
+                        int fallback_num_categories,
+                        const features::FeatureMatrix* matrix,
+                        common::Span<int> out);
+
+// predict_categories over a materialized vector, as a job_id -> category
+// table covering every job (the offline precomputation).
 CategoryHints precompute_categories(
     const ModelRegistry& registry, const std::vector<trace::Job>& jobs,
     int fallback_num_categories,

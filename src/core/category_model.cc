@@ -96,10 +96,6 @@ std::vector<int> CategoryModel::predict_batch(
   return classifier_.predict_batch(pointers.data(), pointers.size());
 }
 
-std::vector<int> CategoryModel::predict_block(const FeatureBlock& block) const {
-  return classifier_.predict_batch(block.base, block.stride, block.num_rows);
-}
-
 std::vector<int> CategoryModel::predict_categories(
     const std::vector<trace::Job>& jobs) const {
   return predict_categories(jobs, nullptr);
@@ -116,7 +112,7 @@ std::vector<int> CategoryModel::predict_categories(
       extractor_,
       common::Span<const trace::Job* const>(pointers.data(), pointers.size()),
       matrix, scratch);
-  return predict_block(block);
+  return classifier_.predict_batch(block.base, block.stride, block.num_rows);
 }
 
 double CategoryModel::top1_accuracy(

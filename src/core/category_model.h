@@ -73,9 +73,6 @@ class CategoryModel {
   // calling predict_category per row; routed through the compiled
   // flat-forest kernel.
   std::vector<int> predict_batch(common::Span<const FeatureRow> rows) const;
-  // Batched inference over one contiguous strided feature block — the
-  // zero-staging fast path the gatherer above produces.
-  std::vector<int> predict_block(const FeatureBlock& block) const;
   // Convenience: extracts features for every job, then predicts in one
   // batch. This is the sweep/serving fast path.
   std::vector<int> predict_categories(

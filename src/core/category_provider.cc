@@ -23,12 +23,7 @@ class HashProvider final : public CategoryProvider {
   std::string name() const override { return "hash"; }
 
   std::optional<int> category(const trace::Job& job) override {
-    // Uniform over the admittable categories [1, N-1] only: category 0 is
-    // the labeler's reserved do-not-admit class (kDoNotAdmitCategory), and
-    // a guessed hint must never bar a job from SSD outright.
-    const std::uint64_t h = common::fnv1a(job.job_key);
-    return kDoNotAdmitCategory + 1 +
-           static_cast<int>(h % static_cast<std::uint64_t>(num_categories_ - 1));
+    return hash_category(job, num_categories_);
   }
 
  private:
@@ -181,6 +176,18 @@ class NoisyProvider final : public CategoryProvider {
 };
 
 }  // namespace
+
+int hash_category(const trace::Job& job, int num_categories) {
+  if (num_categories < 2) {
+    throw std::invalid_argument("make_hash_provider: N >= 2 required");
+  }
+  // Uniform over the admittable categories [1, N-1] only: category 0 is
+  // the labeler's reserved do-not-admit class (kDoNotAdmitCategory), and a
+  // guessed hint must never bar a job from SSD outright.
+  const std::uint64_t h = common::fnv1a(job.job_key);
+  return kDoNotAdmitCategory + 1 +
+         static_cast<int>(h % static_cast<std::uint64_t>(num_categories - 1));
+}
 
 CategoryProviderPtr make_hash_provider(int num_categories) {
   return std::make_shared<HashProvider>(num_categories);

@@ -66,6 +66,9 @@ using CategoryProviderPtr = std::shared_ptr<CategoryProvider>;
 // ISSUE 4; the full reachable range is pinned by
 // CategoryProvider.HashProviderCoversExactlyTheAdmittableRange.
 CategoryProviderPtr make_hash_provider(int num_categories);
+// The hash provider's category for `job`, as a plain function (throws
+// std::invalid_argument unless num_categories >= 2).
+int hash_category(const trace::Job& job, int num_categories);
 
 // Synchronous model-backed inference. With `use_true_category` the provider
 // returns ground-truth labels instead (the Figure 11 perfect-model study).

@@ -38,6 +38,13 @@ std::vector<int> ModelBackend::predict_batch(
       pointers.data(), pointers.size()));
 }
 
+void ModelBackend::predict_into(common::Span<const trace::Job* const> jobs,
+                                const features::FeatureMatrix* matrix,
+                                common::Span<int> out) const {
+  const std::vector<int> categories = predict_batch(jobs, matrix);
+  std::copy(categories.begin(), categories.end(), out.begin());
+}
+
 const char* backend_kind_name(BackendKind kind) {
   switch (kind) {
     case BackendKind::kGbdt: return "gbdt";
@@ -48,6 +55,20 @@ const char* backend_kind_name(BackendKind kind) {
 }
 
 namespace {
+
+// Per-thread inference scratch for predict_into: it grows to the largest
+// batch the thread has predicted and then stays, so steady-state serving
+// predicts without allocating. Per thread, not per backend, because one
+// backend serves every shard and worker concurrently.
+struct InferenceScratch {
+  std::vector<float> features;
+  std::vector<double> values;
+};
+
+InferenceScratch& thread_scratch() {
+  thread_local InferenceScratch scratch;
+  return scratch;
+}
 
 // ------------------------------------------------------------------- GBDT
 
@@ -74,17 +95,30 @@ class GbdtBackend final : public ModelBackend {
     return predict_batch(jobs, nullptr);
   }
 
-  // With a shared matrix, the gatherer aliases the contiguous matrix block
-  // when the jobs resolve to consecutive rows (zero copies) and otherwise
-  // packs one scratch block sized once; either way the compiled kernel
-  // reads a strided block — no per-row pointer staging.
   std::vector<int> predict_batch(
       common::Span<const trace::Job* const> jobs,
       const features::FeatureMatrix* matrix) const override {
-    std::vector<float> scratch;
-    const auto block =
-        gather_feature_block(model_->extractor(), jobs, matrix, scratch);
-    return model_->predict_block(block);
+    std::vector<int> categories(jobs.size());
+    predict_into(jobs, matrix, categories);
+    return categories;
+  }
+
+  // hotpath: the served GBDT batch. With a shared matrix, the gatherer
+  // aliases the contiguous matrix block when the jobs resolve to
+  // consecutive rows (zero copies) and otherwise packs the thread's
+  // scratch block; either way the compiled kernel reads a strided block
+  // into the thread's score scratch — no per-row staging, no allocation.
+  void predict_into(common::Span<const trace::Job* const> jobs,
+                    const features::FeatureMatrix* matrix,
+                    common::Span<int> out) const override {
+    InferenceScratch& scratch = thread_scratch();
+    const FeatureBlock block = gather_feature_block(
+        model_->extractor(), jobs, matrix, scratch.features);
+    const ml::GbdtClassifier& classifier = model_->classifier();
+    scratch.values.resize(jobs.size() *
+                          static_cast<std::size_t>(classifier.num_classes()));
+    classifier.predict_batch(block.base, block.stride, block.num_rows,
+                             scratch.values.data(), out.data());
   }
 
  private:
@@ -168,10 +202,11 @@ class LogisticBackend final : public ModelBackend {
   int num_categories() const override { return num_categories_; }
 
   int predict_category(const trace::Job& job) const override {
-    std::vector<float> x(num_features_);
-    extractor_.extract_into(job, common::Span<float>(x.data(), x.size()));
-    std::vector<double> logits(static_cast<std::size_t>(num_categories_));
-    return predict_in_place(x.data(), logits.data());
+    const trace::Job* const one = &job;
+    int category = 0;
+    predict_into(common::Span<const trace::Job* const>(&one, 1), nullptr,
+                 common::Span<int>(&category, 1));
+    return category;
   }
 
   std::vector<int> predict_batch(
@@ -179,31 +214,39 @@ class LogisticBackend final : public ModelBackend {
     return predict_batch(jobs, nullptr);
   }
 
-  // Batched path with one reused scratch row: matrix rows (immutable,
-  // shared) are copied into the scratch before standardization, jobs
-  // outside the matrix are extracted into it — either way the per-job
-  // arithmetic is exactly predict_category's, so results are bit-identical.
   std::vector<int> predict_batch(
       common::Span<const trace::Job* const> jobs,
       const features::FeatureMatrix* matrix) const override {
+    std::vector<int> categories(jobs.size());
+    predict_into(jobs, matrix, categories);
+    return categories;
+  }
+
+  // hotpath: one scratch row and one logits row, both the thread's: matrix
+  // rows (immutable, shared) are copied into the row before
+  // standardization, jobs outside the matrix are extracted into it; then
+  // standardize -> score -> argmax, the same arithmetic for every caller.
+  void predict_into(common::Span<const trace::Job* const> jobs,
+                    const features::FeatureMatrix* matrix,
+                    common::Span<int> out) const override {
     if (matrix != nullptr && matrix->num_features() != num_features_) {
       matrix = nullptr;
     }
-    std::vector<int> categories;
-    categories.reserve(jobs.size());
-    std::vector<float> x(num_features_);
-    std::vector<double> logits(static_cast<std::size_t>(num_categories_));
-    for (const trace::Job* job : jobs) {
-      const float* row = matrix != nullptr ? matrix->find(job->job_id)
-                                           : nullptr;
+    InferenceScratch& scratch = thread_scratch();
+    scratch.features.resize(num_features_);
+    scratch.values.resize(static_cast<std::size_t>(num_categories_));
+    float* x = scratch.features.data();
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const float* row =
+          matrix != nullptr ? matrix->find(jobs[i]->job_id) : nullptr;
       if (row != nullptr) {
-        std::copy(row, row + num_features_, x.data());
+        std::copy(row, row + num_features_, x);
       } else {
-        extractor_.extract_into(*job, common::Span<float>(x.data(), x.size()));
+        extractor_.extract_into(*jobs[i],
+                                common::Span<float>(x, num_features_));
       }
-      categories.push_back(predict_in_place(x.data(), logits.data()));
+      out[i] = predict_in_place(x, scratch.values.data());
     }
-    return categories;
   }
 
  private:
@@ -342,6 +385,15 @@ class FrequencyBackend final : public ModelBackend {
       return it->second;
     }
     return global_;
+  }
+
+  // hotpath: table probes only (string-keyed finds, no allocation).
+  void predict_into(common::Span<const trace::Job* const> jobs,
+                    const features::FeatureMatrix* /*matrix*/,
+                    common::Span<int> out) const override {
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      out[i] = predict_category(*jobs[i]);
+    }
   }
 
  private:

@@ -43,10 +43,10 @@ class ModelBackend {
   // Category hint for one job, in [0, num_categories()).
   virtual int predict_category(const trace::Job& job) const = 0;
 
-  // Batched inference over a group of jobs (the serving fast path). Must be
-  // bit-identical to calling predict_category per job; the default
-  // implementation is exactly that loop. Backends with a cheaper batch
-  // layout (the GBDT's node-block traversal) override it.
+  // Batched inference over a group of jobs. Must be bit-identical to
+  // calling predict_category per job; the default implementation is
+  // exactly that loop. Backends with a cheaper batch layout (the GBDT's
+  // compiled forest) override it.
   virtual std::vector<int> predict_batch(
       common::Span<const trace::Job* const> jobs) const;
 
@@ -62,6 +62,16 @@ class ModelBackend {
 
   // Convenience for callers holding a materialized vector.
   std::vector<int> predict_batch(const std::vector<trace::Job>& jobs) const;
+
+  // The same batched inference into a caller span: out[i] is jobs[i]'s
+  // category (out.size() == jobs.size()), bit-identical to predict_batch.
+  // This is what the serving lane calls (core::predict_categories). The
+  // default forwards to predict_batch(jobs, matrix) and copies, so a
+  // wrapper that overrides only predict_batch still sees every row;
+  // backends override it to predict without allocating in steady state.
+  virtual void predict_into(common::Span<const trace::Job* const> jobs,
+                            const features::FeatureMatrix* matrix,
+                            common::Span<int> out) const;
 };
 
 using ModelBackendPtr = std::shared_ptr<const ModelBackend>;

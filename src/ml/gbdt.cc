@@ -216,14 +216,12 @@ namespace {
 
 // Deterministic per-row argmax over a scores block (ties break toward the
 // lower class id, like std::max_element).
-std::vector<int> argmax_rows(const double* scores, std::size_t n,
-                             std::size_t k) {
-  std::vector<int> out(n, 0);
+void argmax_rows(const double* scores, std::size_t n, std::size_t k,
+                 int* out) {
   for (std::size_t r = 0; r < n; ++r) {
     const double* row = scores + r * k;
     out[r] = static_cast<int>(std::max_element(row, row + k) - row);
   }
-  return out;
 }
 
 }  // namespace
@@ -233,16 +231,25 @@ std::vector<int> GbdtClassifier::predict_batch(const float* const* rows,
   const auto k = static_cast<std::size_t>(num_classes_);
   std::vector<double> scores(n * k);
   scores_batch(rows, n, scores.data());
-  return argmax_rows(scores.data(), n, k);
+  std::vector<int> out(n);
+  argmax_rows(scores.data(), n, k, out.data());
+  return out;
 }
 
 std::vector<int> GbdtClassifier::predict_batch(const float* base,
                                                std::size_t row_stride,
                                                std::size_t n) const {
-  const auto k = static_cast<std::size_t>(num_classes_);
-  std::vector<double> scores(n * k);
-  scores_batch(base, row_stride, n, scores.data());
-  return argmax_rows(scores.data(), n, k);
+  std::vector<double> scores(n * static_cast<std::size_t>(num_classes_));
+  std::vector<int> out(n);
+  predict_batch(base, row_stride, n, scores.data(), out.data());
+  return out;
+}
+
+void GbdtClassifier::predict_batch(const float* base, std::size_t row_stride,
+                                   std::size_t n, double* scores,
+                                   int* out) const {
+  scores_batch(base, row_stride, n, scores);
+  argmax_rows(scores, n, static_cast<std::size_t>(num_classes_), out);
 }
 
 void GbdtClassifier::save(std::ostream& out) const {

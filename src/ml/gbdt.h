@@ -70,6 +70,11 @@ class GbdtClassifier {
                     double* out) const;
   std::vector<int> predict_batch(const float* base, std::size_t row_stride,
                                  std::size_t n) const;
+  // The same classes into caller buffers, allocation-free: `scores` is
+  // scratch for n * num_classes() doubles and out[r] receives row r's
+  // class.
+  void predict_batch(const float* base, std::size_t row_stride, std::size_t n,
+                     double* scores, int* out) const;
 
   // The original node-block tree traversal (trees outer, rows inner over
   // the 40-byte training nodes), kept as the bit-identity reference oracle

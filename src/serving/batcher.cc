@@ -20,10 +20,8 @@ Batcher::Batcher(InferenceRequestQueue* queue, const BatcherConfig& config,
   }
 }
 
-bool Batcher::run_once() {
-  // No reserve (as in drain): a batch of a few requests would pay for
-  // max_batch of them.
-  std::vector<InferenceRequest> batch;
+bool Batcher::run_once(RequestBatch& batch) {
+  batch.clear();
 
   // Block for the first request on the queue's condition variable — no
   // timeout, so an idle worker sleeps instead of waking every 50 ms, and
@@ -52,29 +50,30 @@ bool Batcher::run_once() {
     }
   }
 
-  const bool size_triggered = batch.size() >= config_.max_batch;
-  execute(std::move(batch), size_triggered);
+  execute(batch, batch.size() >= config_.max_batch);
   return true;
 }
 
 std::size_t Batcher::drain() {
+  common::MutexLock lock(drain_mutex_);
   std::size_t total = 0;
   for (;;) {
-    // No reserve: most passes move a request or two, and the last one
-    // finds the queue empty.
-    std::vector<InferenceRequest> batch;
-    if (queue_->pop_batch(batch, config_.max_batch,
+    drained_.clear();
+    if (queue_->pop_batch(drained_, config_.max_batch,
                           std::chrono::milliseconds(0)) == 0) {
       break;
     }
-    total += batch.size();
-    execute(std::move(batch), batch.size() >= config_.max_batch);
+    const bool full = drained_.size() >= config_.max_batch;
+    total += drained_.size();
+    execute(drained_, full);
+    // A short pop emptied the queue: anything pushed since arrived after
+    // this drain began, so no final empty pop is needed.
+    if (!full) break;
   }
   return total;
 }
 
-void Batcher::execute(std::vector<InferenceRequest>&& batch,
-                      bool size_triggered) {
+void Batcher::execute(const RequestBatch& batch, bool size_triggered) {
   if (batch.empty()) return;
   ++batches_;
   if (size_triggered) {
@@ -82,7 +81,7 @@ void Batcher::execute(std::vector<InferenceRequest>&& batch,
   } else {
     ++deadline_flushes_;
   }
-  execute_(std::move(batch));
+  execute_(batch.requests());
 }
 
 }  // namespace byom::serving

@@ -1,7 +1,7 @@
 // Batcher — the middle stage of the serving loop. Pulls inference requests
 // off an InferenceRequestQueue and flushes them into a batch-execution
-// callback (in production: CategoryModel::predict_batch via the
-// PlacementService) on either of two triggers:
+// callback (in production: PlacementService::execute_batch, which runs
+// core::predict_categories) on either of two triggers:
 //
 //   * size:     the batch reached `max_batch` requests (amortizes the
 //               per-batch forest traversal across many jobs), or
@@ -13,14 +13,21 @@
 // order) that a PlacementService with num_threads == 0 runs at lookup time,
 // in virtual time, so simulation cells stay bit-reproducible inside a
 // parallel sweep.
+//
+// Batches are RequestBatch buffers that are reused, never rebuilt: each
+// worker passes its own to run_once(), and drain() fills one the batcher
+// keeps. The batch function sees the batch as a span that is valid only
+// for the duration of the call.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
+#include "common/mutex.h"
+#include "common/span.h"
+#include "common/thread_annotations.h"
 #include "serving/inference_queue.h"
 
 namespace byom::serving {
@@ -32,16 +39,17 @@ struct BatcherConfig {
 
 class Batcher {
  public:
-  using BatchFn = std::function<void(std::vector<InferenceRequest>&&)>;
+  using BatchFn = std::function<void(common::Span<const InferenceRequest>)>;
 
   // `queue` is borrowed and must outlive the batcher.
   Batcher(InferenceRequestQueue* queue, const BatcherConfig& config,
           BatchFn execute);
 
-  // Waits for at least one request, accumulates until a trigger fires, and
+  // Waits for at least one request, accumulates into `batch` (cleared
+  // first; the caller's reusable buffer) until a trigger fires, and
   // executes the batch. Returns false when the queue is shut down and fully
   // drained (worker loop exit condition).
-  bool run_once();
+  bool run_once(RequestBatch& batch);
 
   // Flushes everything queued at call time in arrival order, without
   // waiting: every pop is a zero-wait sweep that never reaches the queue's
@@ -57,11 +65,14 @@ class Batcher {
   std::uint64_t deadline_flushes() const { return deadline_flushes_.load(); }
 
  private:
-  void execute(std::vector<InferenceRequest>&& batch, bool size_triggered);
+  void execute(const RequestBatch& batch, bool size_triggered);
 
   InferenceRequestQueue* queue_;
   BatcherConfig config_;
   BatchFn execute_;
+  // drain()'s reusable batch; the mutex makes concurrent drains safe.
+  common::Mutex drain_mutex_;
+  RequestBatch drained_ BYOM_GUARDED_BY(drain_mutex_);
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> size_flushes_{0};
   std::atomic<std::uint64_t> deadline_flushes_{0};

@@ -1,6 +1,7 @@
 #include "serving/placement_service.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -44,13 +45,16 @@ PlacementService::Shard::Shard(PlacementService* service,
                                const PlacementServiceConfig& config)
     : queue(config.queue_capacity),
       batcher(&queue, BatcherConfig{config.max_batch, config.flush_deadline},
-              [service, this](std::vector<InferenceRequest>&& batch) {
-                service->execute_batch(*this, std::move(batch));
+              [service, this](common::Span<const InferenceRequest> batch) {
+                service->execute_batch(*this, batch);
               }) {}
 
 void PlacementService::Shard::publish(std::uint64_t job_id, int category,
                                       double latency) {
-  if (!results.emplace(job_id, category).second) return;
+  if (results.insert(job_id, category)) account(latency);
+}
+
+void PlacementService::Shard::account(double latency) {
   ++completed;
   latency_total_s += latency;
   latency_max_s = std::max(latency_max_s, latency);
@@ -87,7 +91,8 @@ double PlacementService::now() const {
 }
 
 void PlacementService::worker_loop(Shard& shard) {
-  while (shard.batcher.run_once()) {
+  RequestBatch batch;  // this worker's, reused for every batch
+  while (shard.batcher.run_once(batch)) {
   }
 }
 
@@ -98,9 +103,11 @@ std::size_t PlacementService::shard_of(std::string_view job_key) const {
                                         shards_.size());
 }
 
+// hotpath: one call per submitted job; the queue copies into a recycled
+// slot.
 bool PlacementService::enqueue(const trace::Job& job) {
   Shard& shard = shard_for(job);
-  if (!shard.queue.try_push(InferenceRequest{job, now()})) {
+  if (!shard.queue.try_push(job, now())) {
     // atomic: relaxed — stats counter; publishes no data, only summed
     // by stats()
     shard.dropped.fetch_add(1, std::memory_order_relaxed);
@@ -121,46 +128,44 @@ std::size_t PlacementService::enqueue_all(
   return accepted;
 }
 
-std::optional<int> PlacementService::published(const Shard& shard,
-                                                std::uint64_t job_id) {
-  common::MutexLock lock(shard.results_mutex);
-  const auto it = shard.results.find(job_id);
-  if (it == shard.results.end()) return std::nullopt;
-  return it->second;
-}
-
 std::optional<int> PlacementService::lookup(std::uint64_t job_id) const {
-  for (const auto& shard : shards_) {
-    if (auto hint = published(*shard, job_id)) return hint;
+  for (const auto& owned : shards_) {
+    const Shard& shard = *owned;
+    common::MutexLock lock(shard.results_mutex);
+    if (const int* category = shard.results.find(job_id)) return *category;
   }
   return std::nullopt;
 }
 
+// hotpath: the served lookup; takes the hint out of the shard's tables.
 std::optional<int> PlacementService::wait_for_inline(Shard& shard,
                                                      std::uint64_t job_id) {
   const double t = now();
-  auto hint = published(shard, job_id);
+  std::optional<int> hint;
+  {
+    common::MutexLock lock(shard.results_mutex);
+    hint = shard.results.take(job_id);
+  }
   if (!hint) {
     // Compute everything queued on this shard so far; results land in the
     // published table (ready now) or the in-flight table (ready later).
     shard.batcher.drain();
-    hint = published(shard, job_id);
-  }
-  if (!hint) {
     common::MutexLock lock(shard.results_mutex);
-    const auto it = shard.in_flight.find(job_id);
-    if (it != shard.in_flight.end()) {
-      if (it->second.ready_time <= t + config_.request_deadline) {
-        // The consumer's wait budget covers the remaining latency: consume
-        // the hint "mid-wait". The scheduled hint-ready event finds it gone
-        // and does nothing.
-        hint = it->second.category;
-        shard.publish(job_id, it->second.category, it->second.latency);
-        shard.in_flight.erase(it);
-      } else {
-        // The hint cannot make the deadline: Algorithm 1 falls back now;
-        // the hint-ready event will deliver (and count) it late.
-        it->second.missed = true;
+    hint = shard.results.take(job_id);
+    if (!hint) {
+      if (InFlightHint* pending = shard.in_flight.find(job_id)) {
+        if (pending->ready_time <= t + config_.request_deadline) {
+          // The consumer's wait budget covers the remaining latency:
+          // consume the hint "mid-wait". The scheduled hint-ready event
+          // finds it gone and does nothing.
+          hint = pending->category;
+          shard.account(pending->latency);
+          shard.in_flight.take(job_id);
+        } else {
+          // The hint cannot make the deadline: Algorithm 1 falls back now;
+          // the hint-ready event will deliver (and count) it late.
+          pending->missed = true;
+        }
       }
     }
   }
@@ -188,20 +193,17 @@ std::optional<int> PlacementService::wait_for_threaded(Shard& shard,
   // Explicit predicate loop (not the lambda-predicate wait overload): the
   // thread-safety analysis checks each guarded access in this scope, where
   // it can see the MutexLock.
-  auto it = shard.results.find(job_id);
-  while (it == shard.results.end()) {
-    if (shard.results_cv.wait_until(lock, deadline) ==
-        std::cv_status::timeout) {
-      it = shard.results.find(job_id);  // a publish may race the timeout
-      break;
-    }
-    it = shard.results.find(job_id);
+  std::optional<int> hint = shard.results.take(job_id);
+  while (!hint) {
+    const bool timed_out = shard.results_cv.wait_until(lock, deadline) ==
+                           std::cv_status::timeout;
+    hint = shard.results.take(job_id);  // a publish may race the timeout
+    if (timed_out) break;
   }
-  if (it != shard.results.end()) {
-    const int category = it->second;
+  if (hint) {
     // atomic: relaxed — stats counter; only summed by stats()
     shard.hits.fetch_add(1, std::memory_order_relaxed);
-    return category;
+    return hint;
   }
   // atomic: relaxed — stats counter; only summed by stats()
   shard.misses.fetch_add(1, std::memory_order_relaxed);
@@ -219,6 +221,7 @@ void PlacementService::on_hint_ready_event(void* ctx, std::uint64_t job_id,
   static_cast<PlacementService*>(ctx)->deliver_virtual(job_id);
 }
 
+// hotpath: one hint-ready event per in-flight hint.
 void PlacementService::deliver_virtual(std::uint64_t job_id) {
   // Hint-ready event: move the in-flight hint into the published table. If
   // the consumer already took it mid-wait (or it was never computed) there
@@ -227,68 +230,79 @@ void PlacementService::deliver_virtual(std::uint64_t job_id) {
   bool missed = false;
   {
     common::MutexLock lock(shard.results_mutex);
-    const auto it = shard.in_flight.find(job_id);
-    if (it == shard.in_flight.end()) return;
-    shard.publish(job_id, it->second.category, it->second.latency);
-    missed = it->second.missed;
-    shard.in_flight.erase(it);
+    const InFlightHint* pending = shard.in_flight.find(job_id);
+    if (pending == nullptr) return;
+    shard.publish(job_id, pending->category, pending->latency);
+    missed = pending->missed;
+    shard.in_flight.take(job_id);
   }
   // atomic: relaxed — late-hint stats counter; only summed by stats()
   if (missed) shard.late.fetch_add(1, std::memory_order_relaxed);
 }
 
-void PlacementService::execute_batch(Shard& shard,
-                                     std::vector<InferenceRequest>&& batch) {
-  // One registry-grouped predict_batch pass — the exact code path offline
-  // precomputation uses, which is what makes served hints bit-identical to
-  // offline-batched hints (per-job results are independent of batch
-  // composition, so shard interleaving cannot change them). The
-  // batch is consumed here, so its jobs move out instead of being copied;
-  // jobs[i] is batch[i]'s job from here on.
-  std::vector<trace::Job> jobs;
-  jobs.reserve(batch.size());
-  for (auto& request : batch) jobs.push_back(std::move(request.job));
-  const core::CategoryHints hints = core::precompute_categories(
-      *registry_, jobs, config_.fallback_num_categories);
+// hotpath: one call per batch; jobs are staged as pointers on the stack.
+void PlacementService::execute_batch(
+    Shard& shard, common::Span<const InferenceRequest> batch) {
+  // One registry-grouped pass per chunk of the batch — the exact code path
+  // offline precomputation uses, which is what makes served hints
+  // bit-identical to offline-batched hints (per-job results are
+  // independent of batch composition, so neither chunking nor shard
+  // interleaving can change them).
+  constexpr std::size_t kChunk = 64;
+  std::array<const trace::Job*, kChunk> jobs;
+  std::array<int, kChunk> categories;
+  for (std::size_t first = 0; first < batch.size(); first += kChunk) {
+    const std::size_t n = std::min(kChunk, batch.size() - first);
+    for (std::size_t i = 0; i < n; ++i) jobs[i] = &batch[first + i].job;
+    core::predict_categories(
+        *registry_, common::Span<const trace::Job* const>(jobs.data(), n),
+        config_.fallback_num_categories, nullptr,
+        common::Span<int>(categories.data(), n));
+    publish_chunk(shard, batch.subspan(first, n), categories.data());
+  }
+}
 
+// hotpath: per-job table updates and hint-ready scheduling.
+void PlacementService::publish_chunk(
+    Shard& shard, common::Span<const InferenceRequest> requests,
+    const int* categories) {
   const double t = now();
   if (deterministic()) {
     // A hint ready by now is published; a later one (only possible with a
     // clock, which any latency model requires) goes in flight until its
     // hint-ready event.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const std::uint64_t job_id = jobs[i].job_id;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const trace::Job& job = requests[i].job;
       const double latency =
-          config_.latency_model
-              ? config_.latency_model->latency_seconds(jobs[i])
-              : 0.0;
-      const double ready = batch[i].enqueued_at + latency;
+          config_.latency_model ? config_.latency_model->latency_seconds(job)
+                                : 0.0;
+      const double ready = requests[i].enqueued_at + latency;
       {
         common::MutexLock lock(shard.results_mutex);
         if (ready <= t) {
-          shard.publish(job_id, hints.at(job_id), latency);
+          shard.publish(job.job_id, categories[i], latency);
           continue;
         }
-        if (shard.results.count(job_id) || shard.in_flight.count(job_id)) {
-          continue;  // duplicate request for an already-served job
+        if (shard.results.find(job.job_id) != nullptr ||
+            !shard.in_flight.insert(
+                job.job_id, InFlightHint{categories[i], ready, latency,
+                                         /*missed=*/false})) {
+          continue;  // duplicate request for a job still being served
         }
-        shard.in_flight.emplace(job_id,
-                                InFlightHint{hints.at(job_id), ready, latency,
-                                             /*missed=*/false});
       }
       config_.clock->schedule_typed(ready, sim::SimClock::kHintReadyPriority,
                                     sim::SimClock::EventKind::kHintReady,
                                     &PlacementService::on_hint_ready_event,
-                                    this, job_id);
+                                    this, job.job_id);
     }
     return;
   }
 
   {
     common::MutexLock lock(shard.results_mutex);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const std::uint64_t job_id = jobs[i].job_id;
-      shard.publish(job_id, hints.at(job_id), t - batch[i].enqueued_at);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      shard.publish(requests[i].job.job_id, categories[i],
+                    t - requests[i].enqueued_at);
     }
   }
   shard.results_cv.notify_all();

@@ -46,15 +46,30 @@
 //     (and so any latency model) requires num_shards == 1: simulation cells
 //     stay on the single-lane path.
 //
-// Category values are produced by the same registry-grouped
-// CategoryModel::predict_batch pass as the offline path
-// (core::precompute_categories) — per-job hints are independent of batch
-// composition — so served hints are bit-identical to offline-batched hints
-// whenever every request completes in time, at any shard count.
+// Category values are produced by the same registry-grouped pass as the
+// offline path (core::predict_categories, which core::precompute_categories
+// wraps) — per-job hints are independent of batch composition — so served
+// hints are bit-identical to offline-batched hints whenever every request
+// completes in time, at any shard count.
 //
 // Backend resolution goes through the registry (core/model_registry.h):
 // each batch calls ModelRegistry::lookup, which takes its one mutex, per
 // job, so a hot-swap is seen by the next batch.
+//
+// The inline lane allocates nothing per job in steady state:
+//   * the shard queue is a ring of recycled request slots: enqueue
+//     copy-assigns the job into a free slot (reusing its string capacity)
+//     and the batcher's pops swap slots into a RequestBatch it reuses
+//     (serving/inference_queue.h);
+//   * a batch is predicted through job pointers and stack scratch into a
+//     span (core::predict_categories, ModelBackend::predict_into);
+//   * the published and in-flight hint tables are flat open-addressing
+//     tables (serving/hint_table.h), and consumption removes the hint: a
+//     hint that wait_for() returns leaves the table, so the tables hold
+//     only hints nobody has taken yet. A late hint — delivered after its
+//     consumer fell back — is never taken and stays visible to lookup().
+//     A request for a job whose hint is still in a table changes nothing;
+//     once its hint was taken, a new request for the job is served afresh.
 #pragma once
 
 #include <atomic>
@@ -64,14 +79,15 @@
 #include <optional>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "core/byom.h"
 #include "core/category_provider.h"
+#include "common/span.h"
 #include "serving/batcher.h"
+#include "serving/hint_table.h"
 #include "serving/inference_queue.h"
 #include "serving/latency_model.h"
 #include "sim/hint_service.h"
@@ -169,14 +185,17 @@ class PlacementService : public sim::HintService {
   // Returns the number of requests accepted.
   std::size_t enqueue_all(const std::vector<trace::Job>& jobs);
 
-  // Non-blocking result lookup (no hit/miss accounting). Scans shards; a
-  // job id is published by at most one.
+  // Non-blocking look at a published hint that no wait_for() has taken
+  // (no hit/miss accounting, nothing removed). Scans shards; a job id is
+  // published by at most one.
   std::optional<int> lookup(std::uint64_t job_id) const;
 
   // Consumer-side lookup with the service's fallback semantics, routed
   // straight to the job's shard: waits up to `request_deadline` for the
   // hint (inline mode drains the shard on this thread first, and waits in
-  // virtual time). Counts a hit or a miss.
+  // virtual time). Counts a hit or a miss. A hint it returns is consumed:
+  // it leaves the shard's tables, so a second wait_for() for the same job
+  // misses unless the job was requested again.
   // This is the serving hot path — O(1) in the shard count.
   std::optional<int> wait_for(const trace::Job& job);
 
@@ -223,17 +242,20 @@ class PlacementService : public sim::HintService {
   struct Shard {
     Shard(PlacementService* service, const PlacementServiceConfig& config);
 
-    // Publishes a hint and accounts its latency. First publication wins: a
-    // duplicate request for an already-served job changes nothing.
+    // Publishes a hint and accounts it. A hint already published for the
+    // job wins: a duplicate request changes nothing.
     void publish(std::uint64_t job_id, int category, double latency)
         BYOM_REQUIRES(results_mutex);
+    // Counts one completed hint and its enqueue -> publish latency.
+    void account(double latency) BYOM_REQUIRES(results_mutex);
 
     InferenceRequestQueue queue;
     Batcher batcher;
 
     mutable common::Mutex results_mutex;
     common::CondVar results_cv;
-    core::CategoryHints results BYOM_GUARDED_BY(results_mutex);
+    // Published hints not yet taken by a consumer (late hints stay).
+    HintTable<int> results BYOM_GUARDED_BY(results_mutex);
     std::uint64_t completed BYOM_GUARDED_BY(results_mutex) = 0;
     double latency_total_s BYOM_GUARDED_BY(results_mutex) = 0.0;
     double latency_max_s BYOM_GUARDED_BY(results_mutex) = 0.0;
@@ -248,8 +270,7 @@ class PlacementService : public sim::HintService {
     // Hints computed but not yet ready in virtual time (clock set, so single
     // shard; guarded by results_mutex for consistency with the results
     // table).
-    std::unordered_map<std::uint64_t, InFlightHint> in_flight
-        BYOM_GUARDED_BY(results_mutex);
+    HintTable<InFlightHint> in_flight BYOM_GUARDED_BY(results_mutex);
 
     // Written by the constructor before any worker runs and joined by
     // shutdown() under shutdown_mutex_; never touched by the workers
@@ -261,10 +282,13 @@ class PlacementService : public sim::HintService {
     return *shards_[shard_of(job.job_key)];
   }
 
-  // The shard's published hint for `job_id`, if any (no accounting).
-  static std::optional<int> published(const Shard& shard,
-                                      std::uint64_t job_id);
-  void execute_batch(Shard& shard, std::vector<InferenceRequest>&& batch);
+  void execute_batch(Shard& shard,
+                     common::Span<const InferenceRequest> batch);
+  // Publishes (or, inline with a future ready time, puts in flight) the
+  // predicted categories of `requests`; categories[i] is requests[i]'s.
+  void publish_chunk(Shard& shard,
+                     common::Span<const InferenceRequest> requests,
+                     const int* categories);
   void deliver_virtual(std::uint64_t job_id);
   // Typed SimClock trampoline (clock set, so shard 0): hint-ready
   // delivery, dispatched with zero allocation.

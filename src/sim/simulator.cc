@@ -293,6 +293,9 @@ SimResult simulate(trace::JobStream& stream, policy::PlacementPolicy& policy,
         return seq > other.seq;
       }
     };
+    // The lead loop below submits every job; its arrival must not submit
+    // it a second time.
+    engine.enqueue_on_arrival = false;
     const double max_lead = std::max(0.0, config.max_hint_lead);
     std::deque<trace::Job> window;
     std::priority_queue<PendingSubmit, std::vector<PendingSubmit>,

@@ -3,7 +3,8 @@
 //   * allocation-count guards (a global operator new hook) pinning the
 //     "zero steady-state heap allocations" contract of
 //     FeatureExtractor::extract_into, SimClock::schedule_typed, the
-//     compiled forest scoring and the in-place GBDT tree builder;
+//     compiled forest scoring, the in-place GBDT tree builder and the
+//     inline served lane (enqueue -> wait_for -> hint-ready);
 //   * bit-identity of the new paths against their references — matrix rows
 //     vs extract(), precompute_categories with vs without the shared
 //     FeatureMatrix for every backend kind, and the event engine vs the
@@ -11,6 +12,7 @@
 //     backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -27,6 +29,8 @@
 #include "harness/experiment.h"
 #include "ml/dataset.h"
 #include "ml/tree.h"
+#include "serving/latency_model.h"
+#include "serving/placement_service.h"
 #include "sim/sim_clock.h"
 #include "sim/simulator.h"
 #include "trace/generator.h"
@@ -292,6 +296,54 @@ TEST(AllocationGuard, GeneratedStreamInChunkNextIsAllocationFree) {
   EXPECT_EQ(allocations(), before)
       << "GeneratedStream::next allocated inside a chunk";
   EXPECT_EQ(consumed, stream.chunk_jobs() - 1);
+}
+
+TEST(AllocationGuard, ServedLaneIsAllocationFreeInSteadyState) {
+  // The inline clocked serving lane, one on-time job at a time: enqueue
+  // (a copy into a recycled ring slot), wait_for (drain -> grouped GBDT
+  // predict_into -> in-flight table -> consumed mid-wait) and the
+  // hint-ready event that finds the hint already taken. Warm-up passes
+  // grow the ring, the batch, the tables, the clock arena and the slots'
+  // strings; after them no cycle may touch the heap.
+  auto registry = std::make_shared<core::ModelRegistry>();
+  registry->set_default_model(core::train_backend(
+      core::BackendKind::kGbdt, split().train.jobs(), small_backend_config()));
+  auto clock = std::make_shared<sim::SimClock>();
+  clock->reserve(64);
+  serving::PlacementServiceConfig config;
+  config.num_threads = 0;
+  config.fallback_num_categories = 6;
+  config.clock = clock;
+  config.latency_model = serving::make_fixed_latency_model(0.001);
+  config.request_deadline = 0.005;  // every hint is consumed on time
+  serving::PlacementService service(registry, config);
+
+  const auto& jobs = split().test.jobs();
+  ASSERT_FALSE(jobs.empty());
+  std::size_t cycle = 0;
+  std::size_t hits = 0;
+  const auto serve = [&](std::size_t cycles) {
+    for (std::size_t c = 0; c < cycles; ++c, ++cycle) {
+      const trace::Job& job = jobs[cycle % jobs.size()];
+      clock->run_until(static_cast<double>(cycle));
+      service.enqueue(job);
+      if (service.wait_for(job).has_value()) ++hits;
+      clock->run_until(static_cast<double>(cycle) + 0.5);  // hint-ready
+    }
+  };
+
+  serve(2 * jobs.size());  // warm-up: every job in both slot parities
+  const std::size_t kCycles = std::max<std::size_t>(1000, jobs.size());
+  hits = 0;
+  const std::uint64_t before = allocations();
+  serve(kCycles);
+  EXPECT_EQ(allocations(), before)
+      << "the served lane allocated in steady state";
+  EXPECT_EQ(hits, kCycles);
+  const serving::ServingStats stats = service.stats();
+  EXPECT_EQ(stats.on_time, 2 * jobs.size() + kCycles);
+  EXPECT_EQ(stats.late, 0u);
+  EXPECT_EQ(service.pending_requests(), 0u);
 }
 
 // ---------------------------------------------------- typed event engine

@@ -20,11 +20,11 @@ namespace {
 
 using std::chrono::milliseconds;
 
-InferenceRequest request_for(std::uint64_t job_id) {
-  InferenceRequest request;
-  request.job.job_id = job_id;
-  request.job.job_key = "pipe/step";
-  return request;
+trace::Job job_for(std::uint64_t job_id) {
+  trace::Job job;
+  job.job_id = job_id;
+  job.job_key = "pipe/step";
+  return job;
 }
 
 TEST(InferenceRequestQueue, RejectsZeroCapacity) {
@@ -34,9 +34,9 @@ TEST(InferenceRequestQueue, RejectsZeroCapacity) {
 TEST(InferenceRequestQueue, KeepsGlobalFifo) {
   InferenceRequestQueue queue(8);
   for (std::uint64_t id = 1; id <= 5; ++id) {
-    ASSERT_TRUE(queue.try_push(request_for(id)));
+    ASSERT_TRUE(queue.try_push(job_for(id), 0.0));
   }
-  std::vector<InferenceRequest> out;
+  RequestBatch out;
   ASSERT_EQ(queue.pop_batch(out, 8, milliseconds(0)), 5u);
   for (std::uint64_t expected = 1; expected <= 5; ++expected) {
     EXPECT_EQ(out[expected - 1].job.job_id, expected);
@@ -57,7 +57,7 @@ TEST(InferenceRequestQueue, FifoPerProducerWithConcurrentProducers) {
     producers.emplace_back([&, p] {
       for (std::uint64_t k = 0; k < kPerProducer; ++k) {
         const std::uint64_t id = p * 1000000ULL + k;
-        while (!queue.try_push(request_for(id))) {
+        while (!queue.try_push(job_for(id), 0.0)) {
           std::this_thread::yield();
         }
       }
@@ -67,9 +67,9 @@ TEST(InferenceRequestQueue, FifoPerProducerWithConcurrentProducers) {
   std::vector<std::uint64_t> popped;
   popped.reserve(kProducers * kPerProducer);
   while (popped.size() < kProducers * kPerProducer) {
-    std::vector<InferenceRequest> batch;
+    RequestBatch batch;
     if (queue.pop_batch(batch, 64, milliseconds(50)) == 0) continue;
-    for (const auto& request : batch) popped.push_back(request.job.job_id);
+    for (const auto& request : batch.requests()) popped.push_back(request.job.job_id);
   }
   for (auto& producer : producers) producer.join();
 
@@ -99,7 +99,7 @@ TEST(InferenceRequestQueue, MpmcStressLosesNothingAndDuplicatesNothing) {
     producers.emplace_back([&, p] {
       for (std::uint64_t k = 0; k < kPerProducer; ++k) {
         const std::uint64_t id = p * 1000000ULL + k;
-        while (!queue.try_push(request_for(id))) {
+        while (!queue.try_push(job_for(id), 0.0)) {
           std::this_thread::yield();  // bounded queue back-pressures
         }
         accepted.fetch_add(1);
@@ -112,14 +112,14 @@ TEST(InferenceRequestQueue, MpmcStressLosesNothingAndDuplicatesNothing) {
   std::vector<std::thread> consumers;
   for (std::size_t c = 0; c < kConsumers; ++c) {
     consumers.emplace_back([&] {
-      std::vector<InferenceRequest> batch;
+      RequestBatch batch;
       // The blocking pop returns 0 only once shut down AND drained, so a
       // consumer can exit without ever dropping an accepted request.
       while (true) {
         batch.clear();
         if (queue.pop_batch(batch, 32) == 0) break;
         std::lock_guard<std::mutex> lock(popped_mutex);
-        for (const auto& request : batch) {
+        for (const auto& request : batch.requests()) {
           popped.push_back(request.job.job_id);
         }
       }
@@ -140,14 +140,14 @@ TEST(InferenceRequestQueue, MpmcStressLosesNothingAndDuplicatesNothing) {
 TEST(InferenceRequestQueue, ShutdownRejectsPushesAndDrainsRemainder) {
   InferenceRequestQueue queue(64);
   for (std::uint64_t id = 0; id < 10; ++id) {
-    ASSERT_TRUE(queue.try_push(request_for(id)));
+    ASSERT_TRUE(queue.try_push(job_for(id), 0.0));
   }
   queue.shutdown();
   EXPECT_TRUE(queue.shut_down());
-  EXPECT_FALSE(queue.try_push(request_for(99)));
+  EXPECT_FALSE(queue.try_push(job_for(99), 0.0));
 
   // Everything accepted before shutdown is still drained.
-  std::vector<InferenceRequest> out;
+  RequestBatch out;
   std::size_t total = 0;
   std::size_t popped;
   while ((popped = queue.pop_batch(out, 4, milliseconds(0))) > 0) {
@@ -164,7 +164,7 @@ TEST(InferenceRequestQueue, ShutdownWakesIdleConsumer) {
   InferenceRequestQueue queue(4);
   std::atomic<bool> pop_returned{false};
   std::thread consumer([&] {
-    std::vector<InferenceRequest> out;
+    RequestBatch out;
     // Blocks: the queue is empty and the blocking pop has no timeout.
     EXPECT_EQ(queue.pop_batch(out, 4), 0u);
     pop_returned.store(true);
@@ -178,7 +178,7 @@ TEST(InferenceRequestQueue, ShutdownWakesIdleConsumer) {
 
 TEST(InferenceRequestQueue, TimedPopTimesOutOnEmptyQueue) {
   InferenceRequestQueue queue(16);
-  std::vector<InferenceRequest> out;
+  RequestBatch out;
   const auto start = std::chrono::steady_clock::now();
   EXPECT_EQ(queue.pop_batch(out, 8, milliseconds(10)), 0u);
   EXPECT_EQ(queue.pop_batch(out, 8, milliseconds(0)), 0u);

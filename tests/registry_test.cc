@@ -158,6 +158,56 @@ TEST(PrecomputeParity, MixedFleetGroupsPerBackend) {
   }
 }
 
+// predict_categories, the primitive under precompute_categories and the
+// serving lane: jobs interleaved across backends (A, B, A, no model, ...)
+// come back in job order, each equal to its own backend's per-job
+// prediction (the hash fallback for the job without a model), across
+// several 64-job grouping chunks.
+TEST(PrecomputeParity, InterleavedBackendsPredictInJobOrder) {
+  auto& f = fixture();
+  std::vector<std::string> pipelines;
+  std::map<std::string, std::vector<const trace::Job*>> by_pipeline;
+  for (const auto& job : f.split.test.jobs()) {
+    auto& list = by_pipeline[job.pipeline_name];
+    if (list.empty()) pipelines.push_back(job.pipeline_name);
+    list.push_back(&job);
+  }
+  ASSERT_GE(pipelines.size(), 3u);
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->register_model(pipelines[0], f.backends[1]);  // A: logistic
+  registry->register_model(pipelines[1], f.backends[2]);  // B: frequency
+  // pipelines[2] has no model and there is no default.
+
+  const std::string pattern[] = {pipelines[0], pipelines[1], pipelines[0],
+                                 pipelines[2]};
+  std::vector<const trace::Job*> jobs;
+  jobs.reserve(150);
+  for (std::size_t i = 0; i < 150; ++i) {
+    const auto& list = by_pipeline[pattern[i % 4]];
+    jobs.push_back(list[(i / 4) % list.size()]);
+  }
+  std::vector<int> out(jobs.size(), -1);
+  predict_categories(*registry, jobs, 8, nullptr, out);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const ModelBackendPtr backend = registry->lookup(*jobs[i]);
+    const int expected = backend ? backend->predict_category(*jobs[i])
+                                 : hash_category(*jobs[i], 8);
+    EXPECT_EQ(out[i], expected) << "job " << i << " of " << pattern[i % 4];
+  }
+
+  // One backend for every job takes the single-group path: same answers.
+  std::vector<const trace::Job*> only_a(by_pipeline[pipelines[0]]);
+  std::vector<int> out_a(only_a.size(), -1);
+  predict_categories(*registry, only_a, 8, nullptr, out_a);
+  for (std::size_t i = 0; i < only_a.size(); ++i) {
+    EXPECT_EQ(out_a[i], f.backends[1]->predict_category(*only_a[i]));
+  }
+
+  std::vector<int> short_out(jobs.size() - 1);
+  EXPECT_THROW(predict_categories(*registry, jobs, 8, nullptr, short_out),
+               std::invalid_argument);
+}
+
 // --------------------------------------------------------- threaded hot-swap
 
 // Readers lookup()+predict while a writer re-registers every pipeline over

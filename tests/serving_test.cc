@@ -6,11 +6,14 @@
 #include <memory>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/byom.h"
 #include "core/category_provider.h"
+#include "common/rng.h"
 #include "serving/batcher.h"
+#include "serving/hint_table.h"
 #include "serving/inference_queue.h"
 #include "serving/placement_service.h"
 #include "harness/experiment_runner.h"
@@ -38,11 +41,11 @@ core::CategoryModelConfig small_model_config(int categories = 8) {
   return cfg;
 }
 
-InferenceRequest request_for(std::uint64_t job_id) {
-  InferenceRequest request;
-  request.job.job_id = job_id;
-  request.job.job_key = "pipe/step";
-  return request;
+trace::Job job_for(std::uint64_t job_id) {
+  trace::Job job;
+  job.job_id = job_id;
+  job.job_key = "pipe/step";
+  return job;
 }
 
 // Shared trained fixture: one small model + registry + test split.
@@ -78,16 +81,16 @@ ServingFixture& fixture() {
 
 TEST(InferenceQueue, FifoOrderAndBoundedCapacity) {
   InferenceRequestQueue queue(3);
-  EXPECT_TRUE(queue.try_push(request_for(1)));
-  EXPECT_TRUE(queue.try_push(request_for(2)));
-  EXPECT_TRUE(queue.try_push(request_for(3)));
-  EXPECT_FALSE(queue.try_push(request_for(4)));  // full: back-pressure
+  EXPECT_TRUE(queue.try_push(job_for(1), 0.0));
+  EXPECT_TRUE(queue.try_push(job_for(2), 0.0));
+  EXPECT_TRUE(queue.try_push(job_for(3), 0.0));
+  EXPECT_FALSE(queue.try_push(job_for(4), 0.0));  // full: back-pressure
   EXPECT_EQ(queue.size(), 3u);
 
-  std::vector<InferenceRequest> out;
+  RequestBatch out;
   ASSERT_EQ(queue.pop_batch(out, 1, milliseconds(0)), 1u);
   EXPECT_EQ(out[0].job.job_id, 1u);
-  EXPECT_TRUE(queue.try_push(request_for(4)));  // slot freed
+  EXPECT_TRUE(queue.try_push(job_for(4), 0.0));  // slot freed
   ASSERT_EQ(queue.pop_batch(out, 8, milliseconds(0)), 3u);
   for (std::size_t i = 1; i < out.size(); ++i) {
     EXPECT_EQ(out[i].job.job_id, i + 1);
@@ -97,9 +100,9 @@ TEST(InferenceQueue, FifoOrderAndBoundedCapacity) {
 TEST(InferenceQueue, PopBatchTakesUpToMax) {
   InferenceRequestQueue queue(16);
   for (std::uint64_t id = 1; id <= 5; ++id) {
-    ASSERT_TRUE(queue.try_push(request_for(id)));
+    ASSERT_TRUE(queue.try_push(job_for(id), 0.0));
   }
-  std::vector<InferenceRequest> out;
+  RequestBatch out;
   EXPECT_EQ(queue.pop_batch(out, 3, milliseconds(0)), 3u);
   EXPECT_EQ(queue.pop_batch(out, 3, milliseconds(0)), 2u);
   ASSERT_EQ(out.size(), 5u);
@@ -111,16 +114,60 @@ TEST(InferenceQueue, PopBatchTakesUpToMax) {
 
 TEST(InferenceQueue, ShutdownRejectsPushesAndDrainsRemainder) {
   InferenceRequestQueue queue(8);
-  ASSERT_TRUE(queue.try_push(request_for(1)));
-  ASSERT_TRUE(queue.try_push(request_for(2)));
+  ASSERT_TRUE(queue.try_push(job_for(1), 0.0));
+  ASSERT_TRUE(queue.try_push(job_for(2), 0.0));
   queue.shutdown();
   EXPECT_TRUE(queue.shut_down());
-  EXPECT_FALSE(queue.try_push(request_for(3)));
+  EXPECT_FALSE(queue.try_push(job_for(3), 0.0));
   // Queued work is still drained after shutdown.
-  std::vector<InferenceRequest> out;
+  RequestBatch out;
   EXPECT_EQ(queue.pop_batch(out, 1, milliseconds(0)), 1u);
   EXPECT_EQ(queue.pop_batch(out, 1, milliseconds(0)), 1u);
   EXPECT_EQ(queue.pop_batch(out, 1, milliseconds(0)), 0u);
+}
+
+// ---------------------------------------------------------------- HintTable
+
+// The flat table against std::unordered_map under a seeded mix of inserts,
+// duplicate inserts, finds and takes over clustered ids (sequential ids
+// collide into long probe runs, which backward-shift erasure must keep
+// reachable), across several growths.
+TEST(HintTable, MatchesAMapUnderRandomInsertsAndTakes) {
+  HintTable<int> table;
+  std::unordered_map<std::uint64_t, int> reference;
+  common::Rng rng(77);
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t id = rng.next_u64() % 512 + (step / 4000) * 300;
+    const int value = static_cast<int>(rng.next_u64() % 1000);
+    switch (rng.next_u64() % 3) {
+      case 0:
+        EXPECT_EQ(table.insert(id, value), reference.emplace(id, value).second);
+        break;
+      case 1: {
+        const auto it = reference.find(id);
+        const std::optional<int> taken = table.take(id);
+        ASSERT_EQ(taken.has_value(), it != reference.end()) << step;
+        if (taken.has_value()) {
+          EXPECT_EQ(*taken, it->second);
+          reference.erase(it);
+        }
+        break;
+      }
+      default: {
+        const int* found = table.find(id);
+        const auto it = reference.find(id);
+        ASSERT_EQ(found != nullptr, it != reference.end()) << step;
+        if (found != nullptr) {
+          EXPECT_EQ(*found, it->second);
+        }
+      }
+    }
+    ASSERT_EQ(table.size(), reference.size());
+  }
+  for (const auto& [id, value] : reference) {
+    ASSERT_NE(table.find(id), nullptr);
+    EXPECT_EQ(*table.find(id), value);
+  }
 }
 
 // ------------------------------------------------------------------ Batcher
@@ -132,14 +179,15 @@ TEST(Batcher, SizeTriggeredFlush) {
   config.max_batch = 4;
   config.flush_deadline = milliseconds(1000);  // deadline never fires
   Batcher batcher(&queue, config,
-                  [&](std::vector<InferenceRequest>&& batch) {
+                  [&](common::Span<const InferenceRequest> batch) {
                     batch_sizes.push_back(batch.size());
                   });
   for (std::uint64_t id = 1; id <= 8; ++id) {
-    ASSERT_TRUE(queue.try_push(request_for(id)));
+    ASSERT_TRUE(queue.try_push(job_for(id), 0.0));
   }
-  EXPECT_TRUE(batcher.run_once());
-  EXPECT_TRUE(batcher.run_once());
+  RequestBatch batch;
+  EXPECT_TRUE(batcher.run_once(batch));
+  EXPECT_TRUE(batcher.run_once(batch));
   ASSERT_EQ(batch_sizes.size(), 2u);
   EXPECT_EQ(batch_sizes[0], 4u);
   EXPECT_EQ(batch_sizes[1], 4u);
@@ -155,13 +203,14 @@ TEST(Batcher, DeadlineTriggeredFlush) {
   config.max_batch = 100;  // size trigger unreachable
   config.flush_deadline = milliseconds(5);
   Batcher batcher(&queue, config,
-                  [&](std::vector<InferenceRequest>&& batch) {
+                  [&](common::Span<const InferenceRequest> batch) {
                     batch_sizes.push_back(batch.size());
                   });
   for (std::uint64_t id = 1; id <= 3; ++id) {
-    ASSERT_TRUE(queue.try_push(request_for(id)));
+    ASSERT_TRUE(queue.try_push(job_for(id), 0.0));
   }
-  EXPECT_TRUE(batcher.run_once());  // flushes the partial batch at deadline
+  RequestBatch batch;
+  EXPECT_TRUE(batcher.run_once(batch));  // flushes the partial batch at deadline
   ASSERT_EQ(batch_sizes.size(), 1u);
   EXPECT_EQ(batch_sizes[0], 3u);
   EXPECT_EQ(batcher.deadline_flushes(), 1u);
@@ -174,11 +223,11 @@ TEST(Batcher, DrainFlushesEverythingWithoutWaiting) {
   BatcherConfig config;
   config.max_batch = 2;
   Batcher batcher(&queue, config,
-                  [&](std::vector<InferenceRequest>&& batch) {
+                  [&](common::Span<const InferenceRequest> batch) {
                     executed += batch.size();
                   });
   for (std::uint64_t id = 1; id <= 5; ++id) {
-    ASSERT_TRUE(queue.try_push(request_for(id)));
+    ASSERT_TRUE(queue.try_push(job_for(id), 0.0));
   }
   EXPECT_EQ(batcher.drain(), 5u);
   EXPECT_EQ(executed, 5u);
@@ -198,11 +247,11 @@ TEST(Batcher, EmptyDrainAndZeroWaitPopNeverSleep) {
   config.max_batch = 8;
   std::size_t executed = 0;
   Batcher batcher(&queue, config,
-                  [&](std::vector<InferenceRequest>&& batch) {
+                  [&](common::Span<const InferenceRequest> batch) {
                     executed += batch.size();
                   });
   constexpr int kCalls = 2000;
-  std::vector<InferenceRequest> out;
+  RequestBatch out;
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < kCalls; ++i) {
     EXPECT_EQ(batcher.drain(), 0u);
@@ -225,14 +274,15 @@ TEST(Batcher, RunOnceReturnsFalseOnceShutDownAndDrained) {
   config.flush_deadline = milliseconds(1);
   std::size_t executed = 0;
   Batcher batcher(&queue, config,
-                  [&](std::vector<InferenceRequest>&& batch) {
+                  [&](common::Span<const InferenceRequest> batch) {
                     executed += batch.size();
                   });
-  ASSERT_TRUE(queue.try_push(request_for(1)));
+  ASSERT_TRUE(queue.try_push(job_for(1), 0.0));
   queue.shutdown();
-  EXPECT_TRUE(batcher.run_once());  // drains the remaining request
+  RequestBatch batch;
+  EXPECT_TRUE(batcher.run_once(batch));  // drains the remaining request
   EXPECT_EQ(executed, 1u);
-  EXPECT_FALSE(batcher.run_once());  // queue empty + shut down: exit
+  EXPECT_FALSE(batcher.run_once(batch));  // queue empty + shut down: exit
 }
 
 // --------------------------------------------------------- PlacementService
@@ -820,6 +870,62 @@ TEST(VirtualTime, HintBeyondDeadlineIsLateAndDeliveredByEvent) {
   EXPECT_EQ(stats.late, 1u);
   EXPECT_EQ(stats.on_time, 0u);
   EXPECT_EQ(stats.completed, 1u);
+}
+
+// Consumption removes the hint: once wait_for() has returned a hint, the
+// shard's tables no longer hold it (lookup() misses, a second wait_for()
+// misses), while a late hint that no consumer took stays visible. Taking
+// a hint changes neither `completed` nor the latency statistics.
+TEST(VirtualTime, ConsumedHintLeavesTheTableLateHintStays) {
+  auto& f = fixture();
+  const auto& jobs = f.split.test.jobs();
+  ASSERT_GE(jobs.size(), 3u);
+  auto config = f.deterministic_config();
+  config.clock = std::make_shared<sim::SimClock>();
+  config.latency_model = make_fixed_latency_model(0.5);
+  config.request_deadline = 1.0;
+  PlacementService service(f.registry, config);
+
+  // Ready at 0.5, consumed mid-wait at 0: straight out of the in-flight
+  // table.
+  ASSERT_TRUE(service.enqueue(jobs[0]));
+  ASSERT_TRUE(service.wait_for(jobs[0]).has_value());
+  EXPECT_FALSE(service.lookup(jobs[0].job_id).has_value());
+
+  // Published before its lookup (ready at 0.5, looked up at 2): taken out
+  // of the published table.
+  ASSERT_TRUE(service.enqueue(jobs[1]));
+  config.clock->run_until(2.0);
+  ASSERT_TRUE(service.wait_for(jobs[1]).has_value());
+  EXPECT_FALSE(service.lookup(jobs[1].job_id).has_value());
+  EXPECT_FALSE(service.wait_for(jobs[1]).has_value());  // already taken
+
+  // Late: the consumer gave up at 2 (ready at 7, deadline 3); the
+  // hint-ready event publishes it and nobody takes it.
+  PlacementService slow(f.registry, [&] {
+    auto c = config;
+    c.latency_model = make_fixed_latency_model(5.0);
+    return c;
+  }());
+  ASSERT_TRUE(slow.enqueue(jobs[2]));
+  EXPECT_FALSE(slow.wait_for(jobs[2]).has_value());
+  config.clock->run_all();
+  const auto late = slow.lookup(jobs[2].job_id);
+  ASSERT_TRUE(late.has_value());
+  EXPECT_EQ(*late, f.model->predict_category(jobs[2]));
+  EXPECT_TRUE(slow.lookup(jobs[2].job_id).has_value());  // lookup keeps it
+
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.on_time, 2u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_DOUBLE_EQ(stats.latency_total_s, 1.0);
+  EXPECT_DOUBLE_EQ(stats.latency_max_s, 0.5);
+  const auto slow_stats = slow.stats();
+  EXPECT_EQ(slow_stats.completed, 1u);
+  EXPECT_EQ(slow_stats.late, 1u);
+  EXPECT_DOUBLE_EQ(slow_stats.latency_total_s, 5.0);
 }
 
 // -------------------------------------------------- noisy cells determinism

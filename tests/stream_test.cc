@@ -20,6 +20,7 @@
 #include "core/model_backend.h"
 #include "harness/experiment.h"
 #include "harness/streaming.h"
+#include "serving/placement_service.h"
 #include "sim/simulator.h"
 #include "sim/soak_counters.h"
 #include "trace/generator.h"
@@ -419,6 +420,47 @@ TEST(LeadTimes, SubmitAheadImprovesTimelinessDeterministically) {
   EXPECT_GT(with.hints_on_time, without.hints_on_time);
   EXPECT_LT(with.hints_late, without.hints_late);
   EXPECT_EQ(with.jobs_total, without.jobs_total);
+}
+
+// Submit-ahead mode submits each job once, at arrival - lead: the arrival
+// event must not submit it again. The replay result is pinned to the
+// figures of the engine that still re-enqueued at arrival — duplicates
+// were absorbed by the first-publication rule, so removing them changes
+// no decision, only the request count.
+TEST(SubmitAhead, EachJobIsEnqueuedOnce) {
+  auto& f = fixture();
+  const sim::MethodId id = sim::MethodId::kAdaptiveServedLatency;
+  sim::MakeOptions options;
+  options.hint_latency = 0.5;
+  options.hint_deadline = 0.01;
+  options.noise_seed = 7;
+  const std::uint64_t cap = sim::quota_capacity(f.test, 0.05);
+
+  sim::StreamingCell cell = f.factory->make_streaming_cell(
+      id, f.summary, trace::GeneratedStream::kDefaultChunkJobs, cap, options);
+  ASSERT_TRUE(cell.context.hint_service);
+  sim::SimConfig config =
+      sim::make_sim_config(*f.factory, cell.context, cap);
+  config.use_trace_leads = true;
+  config.horizon_start = f.summary.start_time;
+  config.horizon_end = f.summary.end_time;
+  config.expected_jobs = f.summary.job_count;
+  trace::GeneratedStream g(f.cfg);
+  trace::SkipUntilStream s(g, 7.0 * kDay);
+  const sim::SimResult result =
+      sim::simulate(s, *cell.context.policy, config);
+
+  const serving::ServingStats stats = cell.context.hint_service->stats();
+  EXPECT_EQ(stats.enqueued, result.jobs_total);
+  EXPECT_EQ(stats.enqueued + stats.dropped, f.test.size());
+  EXPECT_EQ(result.jobs_total, 322u);
+  EXPECT_EQ(result.jobs_scheduled_ssd, 205u);
+  EXPECT_EQ(result.hints_on_time, 322u);
+  EXPECT_EQ(result.hints_late, 0u);
+  EXPECT_EQ(result.hints_dropped, 0u);
+  EXPECT_EQ(result.peak_ssd_used_bytes, 17629846531u);
+  EXPECT_EQ(result.tco_actual, 0x1.7bb555e99c80ap+3);
+  EXPECT_EQ(result.tcio_actual_seconds, 0x1.18ec36645d1bep+20);
 }
 
 // --------------------------------------------------------------- csv io
