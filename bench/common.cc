@@ -9,7 +9,6 @@
 #include "policy/byom_policy.h"
 #include "framework/pipeline_runner.h"
 #include "policy/first_fit.h"
-#include "storage/cache_server.h"
 
 namespace byom::bench {
 
@@ -80,6 +79,20 @@ sim::SimResult run_policy(policy::PlacementPolicy& policy,
   return sim::simulate(test, policy, cfg);
 }
 
+storage::CacheServer run_prototype(policy::PlacementPolicy& policy,
+                                   const trace::Trace& test,
+                                   std::uint64_t capacity_bytes) {
+  const sim::SimResult result =
+      run_policy(policy, test, capacity_bytes, /*record_outcomes=*/true);
+  storage::CacheServer server;
+  for (std::size_t i = 0; i < test.size(); ++i) {
+    const sim::JobOutcome& outcome = result.outcomes[i];
+    server.record(test.jobs()[i], outcome.scheduled, outcome.ssd_share,
+                  outcome.ssd_time_share);
+  }
+  return server;
+}
+
 void print_header(const std::string& figure, const std::string& description,
                   const std::string& paper_expectation) {
   std::printf("# %s\n", figure.c_str());
@@ -128,9 +141,11 @@ MixedDeployment MixedDeployment::generate(std::uint64_t seed) {
   MixedDeployment d;
   const std::size_t half = jobs.size() / 2;
   d.train.assign(jobs.begin(), jobs.begin() + static_cast<std::ptrdiff_t>(half));
-  d.test.assign(jobs.begin() + static_cast<std::ptrdiff_t>(half), jobs.end());
+  d.test = trace::Trace(
+      0, std::vector<trace::Job>(
+             jobs.begin() + static_cast<std::ptrdiff_t>(half), jobs.end()));
   common::IntervalSeries series;
-  for (const auto& j : d.test) {
+  for (const auto& j : d.test.jobs()) {
     series.add(j.arrival_time, j.end_time(),
                static_cast<double>(j.peak_bytes));
   }
@@ -140,7 +155,7 @@ MixedDeployment MixedDeployment::generate(std::uint64_t seed) {
 
 namespace {
 
-MixedDeploymentResult measure(storage::CacheServer& server) {
+MixedDeploymentResult measure(const storage::CacheServer& server) {
   MixedDeploymentResult r;
   r.tco_framework = server.tco_savings_pct(true, true);
   r.tco_non_framework = server.tco_savings_pct(true, false);
@@ -156,10 +171,8 @@ MixedDeploymentResult measure(storage::CacheServer& server) {
 MixedDeploymentResult MixedDeployment::run_first_fit(double quota) const {
   const auto cap =
       static_cast<std::uint64_t>(static_cast<double>(peak_bytes) * quota);
-  storage::CacheServer server(cap,
-                              std::make_shared<policy::FirstFitPolicy>());
-  for (const auto& j : test) server.submit(j);
-  return measure(server);
+  policy::FirstFitPolicy first_fit;
+  return measure(run_prototype(first_fit, test, cap));
 }
 
 MixedDeploymentResult MixedDeployment::run_adaptive_ranking(
@@ -175,12 +188,11 @@ MixedDeploymentResult MixedDeployment::run_adaptive_ranking(
   registry->set_default_model(model);
   policy::ByomPolicyOptions options;
   options.adaptive.num_categories = model->num_categories();
-  // One batched inference pass over the replayed jobs; the cache server's
+  // One batched inference pass over the replayed jobs; the engine's
   // per-arrival decisions then consume precomputed hints.
-  options.precompute_jobs = &test;
-  storage::CacheServer server(cap, policy::make_byom_policy(registry, options));
-  for (const auto& j : test) server.submit(j);
-  return measure(server);
+  options.precompute_jobs = &test.jobs();
+  const auto ranking = policy::make_byom_policy(registry, options);
+  return measure(run_prototype(*ranking, test, cap));
 }
 
 }  // namespace byom::bench

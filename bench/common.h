@@ -11,6 +11,7 @@
 #include "core/category_model.h"
 #include "policy/adaptive.h"
 #include "harness/experiment.h"
+#include "storage/cache_server.h"
 #include "trace/generator.h"
 
 namespace byom::bench {
@@ -65,14 +66,23 @@ sim::SimResult run_policy(policy::PlacementPolicy& policy,
                           std::uint64_t capacity_bytes,
                           bool record_outcomes = false);
 
+// The prototype path (paper section 5.2 / Appendix A): replays `test` on
+// the event engine, then books every job's recorded outcome on a caching
+// server, which routes the job's files, prices it and estimates its run
+// time. The server's savings equal the replay's by construction.
+storage::CacheServer run_prototype(policy::PlacementPolicy& policy,
+                                   const trace::Trace& test,
+                                   std::uint64_t capacity_bytes);
+
 // Pretty header printed at the top of each bench's output.
 void print_header(const std::string& figure, const std::string& description,
                   const std::string& paper_expectation);
 
 // Mixed framework/non-framework prototype deployment (Appendix C.1):
 // 4 HDD-suitable + 4 SSD-suitable framework pipelines and 10 + 10
-// non-framework workloads, ~1:1 byte footprint, run through the storage
-// substrate's CacheServer.
+// non-framework workloads, ~1:1 byte footprint, run through the prototype
+// path (run_prototype): the event engine places each job and the caching
+// server books it, keeping the per-workload-group savings split.
 struct MixedDeploymentResult {
   // Savings in percent, per (method, workload-group) cell.
   double tco_framework = 0.0, tco_non_framework = 0.0;
@@ -82,7 +92,7 @@ struct MixedDeploymentResult {
 
 struct MixedDeployment {
   std::vector<trace::Job> train;
-  std::vector<trace::Job> test;
+  trace::Trace test;
   std::uint64_t peak_bytes = 0;
 
   // Builds the workload mix deterministically from `seed`.

@@ -27,7 +27,7 @@ int main() {
               deployment.train.size(), deployment.test.size(),
               static_cast<double>(deployment.peak_bytes) / (1ULL << 40));
 
-  // The (method, quota) deployments are independent cache-server replays:
+  // The (method, quota) deployments are independent prototype replays:
   // shard them across the pool and collect in print order.
   const std::vector<double> quotas = {0.01, 0.20};
   framework::ThreadPool pool;

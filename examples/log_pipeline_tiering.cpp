@@ -1,13 +1,17 @@
 // Scenario: a log-processing team runs recurring ETL pipelines on the
 // shared data-processing framework and wants its intermediate shuffle
 // files tiered intelligently. This example drives the *live* path — the
-// framework substrate executes dataflow graphs, each shuffle job flows
-// through the caching server, and the application-layer model is trained
-// on the team's own execution history (the "bring your own model"
-// contract: the model lives with the workload, not the storage system).
+// framework substrate executes dataflow graphs, the team's week of shuffle
+// jobs is placed by the event engine with hints from the async serving
+// loop, each placement is booked on the caching server, and the
+// application-layer model is trained on the team's own execution history
+// (the "bring your own model" contract: the model lives with the
+// workload, not the storage system).
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/byom.h"
@@ -16,7 +20,9 @@
 #include "framework/pipeline_runner.h"
 #include "policy/first_fit.h"
 #include "serving/placement_service.h"
+#include "sim/simulator.h"
 #include "storage/cache_server.h"
+#include "trace/trace.h"
 
 using namespace byom;
 
@@ -32,6 +38,24 @@ std::vector<framework::FrameworkPipeline> team_pipelines(std::uint64_t seed) {
   pipelines.push_back(framework::make_prototype_pipeline(1, 1, seed));
   pipelines.back().name = "org_logsteam.interactive-joins-prod.dataimporter";
   return pipelines;
+}
+
+// Places the week on the event engine, then books every job's outcome on a
+// caching server (file routing, pricing, run-time estimate).
+storage::CacheServer replay(const trace::Trace& week,
+                            policy::PlacementPolicy& policy,
+                            std::uint64_t ssd_quota) {
+  sim::SimConfig config;
+  config.ssd_capacity_bytes = ssd_quota;
+  config.record_outcomes = true;
+  const sim::SimResult result = sim::simulate(week, policy, config);
+  storage::CacheServer server;
+  for (std::size_t i = 0; i < week.size(); ++i) {
+    const sim::JobOutcome& outcome = result.outcomes[i];
+    server.record(week.jobs()[i], outcome.scheduled, outcome.ssd_share,
+                  outcome.ssd_time_share);
+  }
+  return server;
 }
 
 }  // namespace
@@ -62,13 +86,23 @@ int main() {
   std::printf("== phase 2: trained a %d-category model (%zu trees) ==\n",
               model->num_categories(), model->classifier().num_trees());
 
-  // Phase 3 (online): the storage layer's caching server consumes hints
-  // from the async serving loop — each arrival enqueues an inference
-  // request, a background worker batches them through the model, and the
-  // placement decision takes whatever hint is ready (or the robust hash
-  // fallback when the deadline is missed). Inference stays off the
-  // placement critical path, as the paper's production design requires.
+  // Phase 3 (online): the live week's shuffle jobs reach the storage
+  // layer with hints from the async serving loop — every job's inference
+  // request is enqueued, a background worker batches them through the
+  // model, and each placement decision takes whatever hint is ready (or
+  // the robust hash fallback when the deadline is missed). Inference stays
+  // off the placement critical path, as the paper's production design
+  // requires. The week is placed as one arrival-ordered trace.
   std::printf("== phase 3: one live week through the caching server ==\n");
+  std::vector<trace::Job> live;
+  for (double t = 7.0 * 86400.0; t < 14.0 * 86400.0; t += 1800.0) {
+    if (std::fmod(t, 4.0 * 3600.0) < 1800.0) {
+      for (auto& j : runner.run(pipelines[0], t)) live.push_back(j);
+    }
+    for (auto& j : runner.run(pipelines[1], t)) live.push_back(j);
+  }
+  const trace::Trace week(0, std::move(live));
+
   serving::PlacementServiceConfig serving_config;
   serving_config.num_threads = 1;
   serving_config.max_batch = 32;
@@ -77,30 +111,18 @@ int main() {
   serving_config.fallback_num_categories = model->num_categories();
   auto service = std::make_shared<serving::PlacementService>(registry,
                                                              serving_config);
+  for (const auto& j : week.jobs()) service->enqueue(j);
 
   policy::ByomPolicyOptions options;
   options.adaptive.num_categories = model->num_categories();
   options.custom_provider = serving::make_served_provider(service);
   const std::uint64_t ssd_quota = 64ULL << 30;  // 64 GiB of SSD for the team
-  storage::CacheServer byom_server(ssd_quota,
-                                   policy::make_byom_policy(registry, options));
-  storage::CacheServer firstfit_server(
-      ssd_quota, std::make_shared<policy::FirstFitPolicy>());
-
-  for (double t = 7.0 * 86400.0; t < 14.0 * 86400.0; t += 1800.0) {
-    std::vector<trace::Job> arrivals;
-    if (std::fmod(t, 4.0 * 3600.0) < 1800.0) {
-      for (auto& j : runner.run(pipelines[0], t)) arrivals.push_back(j);
-    }
-    for (auto& j : runner.run(pipelines[1], t)) arrivals.push_back(j);
-    // Submission enqueues the inference request; the cache server's
-    // placement decision then consumes the served hint.
-    for (const auto& j : arrivals) service->enqueue(j);
-    for (const auto& j : arrivals) {
-      byom_server.submit(j);
-      firstfit_server.submit(j);
-    }
-  }
+  const auto byom_policy = policy::make_byom_policy(registry, options);
+  policy::FirstFitPolicy first_fit;
+  const storage::CacheServer byom_server =
+      replay(week, *byom_policy, ssd_quota);
+  const storage::CacheServer firstfit_server =
+      replay(week, first_fit, ssd_quota);
 
   const auto serving_stats = service->stats();
   std::printf(

@@ -69,20 +69,29 @@ CategoryModel CategoryModel::train(const std::vector<trace::Job>& train_jobs,
   return model;
 }
 
+namespace {
+
+// Per-thread feature row for single-job prediction: it grows to the
+// widest extractor the thread has used and then stays, so per-job
+// inference extracts without allocating (the synchronous registry
+// provider predicts every job through here).
+const float* extract_row(const features::FeatureExtractor& extractor,
+                         const trace::Job& job) {
+  thread_local std::vector<float> row;
+  row.resize(extractor.num_features());
+  extractor.extract_into(job, common::Span<float>(row.data(), row.size()));
+  return row.data();
+}
+
+}  // namespace
+
+// hotpath: per-job synchronous inference.
 int CategoryModel::predict_category(const trace::Job& job) const {
-  std::vector<float> features(extractor_.num_features());
-  extractor_.extract_into(job,
-                          common::Span<float>(features.data(),
-                                              features.size()));
-  return classifier_.predict(features.data());
+  return classifier_.predict(extract_row(extractor_, job));
 }
 
 std::vector<double> CategoryModel::predict_proba(const trace::Job& job) const {
-  std::vector<float> features(extractor_.num_features());
-  extractor_.extract_into(job,
-                          common::Span<float>(features.data(),
-                                              features.size()));
-  return classifier_.predict_proba(features.data());
+  return classifier_.predict_proba(extract_row(extractor_, job));
 }
 
 int CategoryModel::true_category(const trace::Job& job) const {

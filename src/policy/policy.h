@@ -1,7 +1,8 @@
-// Placement-policy interface consumed by the cluster simulator and the
-// storage-layer cache server. A policy sees each arriving job (with only
-// pre-execution knowledge), decides a target device, and receives feedback
-// about the realized placement (including spillover when SSD was full).
+// Placement-policy interface consumed by the cluster simulator's event
+// engine, which also places the prototype path's jobs. A policy sees each
+// arriving job (with only pre-execution knowledge), decides a target
+// device, and receives feedback about the realized placement (including
+// spillover when SSD was full).
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,7 @@ class PlacementPolicy {
   // Decide the target device for an arriving job.
   virtual Device decide(const trace::Job& job, const StorageView& view) = 0;
 
-  // Called after the simulator/cache server commits the placement.
+  // Called after the simulator commits the placement.
   virtual void on_placed(const trace::Job& job,
                          const PlacementOutcome& outcome) {
     (void)job;

@@ -102,7 +102,7 @@ struct Engine {
     if (config->record_outcomes) {
       result->outcomes.push_back({job.job_id, decision,
                                   outcome.spill_fraction,
-                                  outcome.ssd_time_share});
+                                  outcome.ssd_time_share, ssd_share});
     }
   }
 };
@@ -444,7 +444,7 @@ SimResult simulate_synchronous(const trace::Trace& trace,
     if (config.record_outcomes) {
       result.outcomes.push_back({job.job_id, decision,
                                  outcome.spill_fraction,
-                                 outcome.ssd_time_share});
+                                 outcome.ssd_time_share, ssd_share});
     }
   }
   return result;

@@ -42,7 +42,8 @@ class CounterSink;  // sim/soak_counters.h
 struct SimConfig {
   std::uint64_t ssd_capacity_bytes = 0;
   cost::Rates rates;
-  // Record one JobOutcome per job (needed by scatter/series benches).
+  // Record one JobOutcome per job (needed by scatter/series benches and
+  // by the prototype path, whose caching server books each outcome).
   bool record_outcomes = false;
 
   // The virtual clock shared with the serving pipeline and the staleness
@@ -93,6 +94,10 @@ struct JobOutcome {
   policy::Device scheduled = policy::Device::kHdd;
   double spill_fraction = 0.0;
   double ssd_time_share = 1.0;
+  // Granted SSD bytes over peak bytes (0 for HDD jobs): the share the
+  // engine priced the job at. Carried as computed, because 1 -
+  // spill_fraction does not round-trip it bit for bit.
+  double ssd_share = 0.0;
 };
 
 struct SimResult {

@@ -1,29 +1,10 @@
 #include "storage/cache_server.h"
 
 #include <algorithm>
-#include <cmath>
-#include <utility>
 
 namespace byom::storage {
 
-CacheServer::CacheServer(std::uint64_t ssd_capacity_bytes,
-                         std::shared_ptr<policy::PlacementPolicy> policy,
-                         cost::Rates rates)
-    : ssd_capacity_(ssd_capacity_bytes),
-      policy_(std::move(policy)),
-      cost_model_(rates) {}
-
-void CacheServer::release_expired(double now) {
-  auto it = pending_releases_.begin();
-  while (it != pending_releases_.end()) {
-    if (it->first <= now) {
-      ssd_used_ -= std::min(ssd_used_, it->second);
-      it = pending_releases_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
+CacheServer::CacheServer(cost::Rates rates) : cost_model_(rates) {}
 
 double CacheServer::estimate_runtime(const trace::Job& job,
                                      double ssd_share) const {
@@ -49,51 +30,22 @@ double CacheServer::estimate_runtime(const trace::Job& job,
   return compute_phase + io_phase;
 }
 
-PlacedJob CacheServer::submit(const trace::Job& job) {
-  const double now = job.arrival_time;
-  release_expired(now);
-
-  policy::StorageView view;
-  view.now = now;
-  view.ssd_capacity_bytes = ssd_capacity_;
-  view.ssd_used_bytes = ssd_used_;
-  const policy::Device decision = policy_->decide(job, view);
-
+PlacedJob CacheServer::record(const trace::Job& job, policy::Device device,
+                              double ssd_share, double ssd_time_share) {
   PlacedJob placed;
   placed.job_id = job.job_id;
-  placed.device = decision;
+  placed.device = device;
+  placed.spill_fraction =
+      device == policy::Device::kSsd ? 1.0 - ssd_share : 0.0;
   placed.framework_workload = job.framework_workload;
-
-  double ssd_share = 0.0;
-  double ssd_time_share = 1.0;
-  if (decision == policy::Device::kSsd) {
-    const std::uint64_t free_bytes = view.ssd_free_bytes();
-    const std::uint64_t granted = std::min(job.peak_bytes, free_bytes);
-    ssd_share = job.peak_bytes > 0
-                    ? static_cast<double>(granted) /
-                          static_cast<double>(job.peak_bytes)
-                    : 0.0;
-    placed.spill_fraction = 1.0 - ssd_share;
-    const double ttl = policy_->eviction_ttl(job);
-    double release_time = job.end_time();
-    if (ttl > 0.0 && now + ttl < release_time) release_time = now + ttl;
-    ssd_time_share = job.lifetime > 0.0
-                         ? std::clamp((release_time - now) / job.lifetime,
-                                      0.0, 1.0)
-                         : 1.0;
-    if (granted > 0) {
-      ssd_used_ += granted;
-      pending_releases_.emplace_back(release_time, granted);
-    }
-  }
 
   // Route the job's intermediate file through the filesystem substrate so
   // device counters, cache residency, and chunking all see real traffic.
   const std::uint64_t file_id = next_file_id_++;
-  const DeviceKind tier = decision == policy::Device::kSsd && ssd_share > 0.5
+  const DeviceKind tier = device == policy::Device::kSsd && ssd_share > 0.5
                               ? DeviceKind::kSsd
                               : DeviceKind::kHdd;
-  fs_.create(file_id, tier, now);
+  fs_.create(file_id, tier, job.arrival_time);
   const double write_ops =
       job.io.avg_write_block > 0.0
           ? static_cast<double>(job.io.bytes_written) / job.io.avg_write_block
@@ -108,16 +60,10 @@ PlacedJob CacheServer::submit(const trace::Job& job) {
   fs_.read(file_id, job.io.bytes_read, read_ops, workers);
   fs_.remove(file_id);
 
-  policy::PlacementOutcome outcome;
-  outcome.scheduled = decision;
-  outcome.spill_fraction = placed.spill_fraction;
-  outcome.ssd_time_share = ssd_time_share;
-  policy_->on_placed(job, outcome);
-
   const auto inputs = job.cost_inputs();
   placed.tco_hdd = job.cost_hdd;
   placed.tcio_seconds_hdd = cost_model_.tcio_seconds_hdd(inputs);
-  if (decision == policy::Device::kSsd) {
+  if (device == policy::Device::kSsd) {
     placed.tco = cost_model_.cost_mixed(inputs, ssd_share, ssd_time_share);
     placed.tcio_seconds =
         cost_model_.tcio_seconds_mixed(inputs, ssd_share, ssd_time_share);

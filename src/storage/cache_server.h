@@ -1,8 +1,10 @@
 // Caching server: the dedicated tiering service of the production setup
-// (paper section 2.4 / Appendix A). It owns the SSD quota, receives each
-// job's placement request (with the application-layer category hint already
-// attached by the framework), consults a pluggable placement policy, and
-// routes the job's files to the chosen tier.
+// (paper section 2.4 / Appendix A), as the consumer of placements the
+// event engine (sim::simulate) has already made. Admission, spill and SSD
+// release happen once, in the engine; the server books each job's outcome:
+// it routes the job's files to the realized tier through the filesystem
+// substrate, prices the job, and keeps the framework / non-framework
+// savings split of the mixed deployment (paper Figures 13 and 14).
 //
 // It also estimates application run time per job under the realized
 // placement (paper Figure 14): a job's measured lifetime is assumed to have
@@ -10,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cost/cost_model.h"
@@ -35,37 +36,31 @@ struct PlacedJob {
 
 class CacheServer {
  public:
-  CacheServer(std::uint64_t ssd_capacity_bytes,
-              std::shared_ptr<policy::PlacementPolicy> policy,
-              cost::Rates rates = {});
+  explicit CacheServer(cost::Rates rates = {});
 
-  // Processes one arriving job end-to-end: placement decision, file
-  // routing, cost/runtime accounting. Jobs must be submitted in arrival
-  // order.
-  PlacedJob submit(const trace::Job& job);
+  // Books one placed job: file routing, cost and run-time accounting.
+  // `device` is the policy's decision; `ssd_share` is the fraction of the
+  // job's peak bytes granted on SSD (0 for HDD jobs) and `ssd_time_share`
+  // the fraction of its lifetime resident there, exactly as the engine
+  // priced them (sim::JobOutcome). Jobs are recorded in replay order.
+  PlacedJob record(const trace::Job& job, policy::Device device,
+                   double ssd_share, double ssd_time_share);
 
   const std::vector<PlacedJob>& placements() const { return placements_; }
   const FileSystem& file_system() const { return fs_; }
-  std::uint64_t ssd_used_bytes() const { return ssd_used_; }
 
-  // Aggregate savings across everything submitted so far, in percent
+  // Aggregate savings across everything recorded so far, in percent
   // relative to the all-HDD baseline.
   double tco_savings_pct(bool framework_only, bool framework_value) const;
   double tcio_savings_pct(bool framework_only, bool framework_value) const;
   double runtime_savings_pct(bool framework_only, bool framework_value) const;
 
  private:
-  void release_expired(double now);
   double estimate_runtime(const trace::Job& job, double ssd_share) const;
 
-  std::uint64_t ssd_capacity_;
-  std::uint64_t ssd_used_ = 0;
-  std::shared_ptr<policy::PlacementPolicy> policy_;
   cost::CostModel cost_model_;
   FileSystem fs_;
   std::vector<PlacedJob> placements_;
-  // (release_time, bytes) pairs for SSD space reclamation.
-  std::vector<std::pair<double, std::uint64_t>> pending_releases_;
   std::uint64_t next_file_id_ = 1;
 };
 

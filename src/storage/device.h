@@ -24,7 +24,7 @@ struct SsdParams {
 };
 
 // Tracks cumulative traffic against one device and answers service-time
-// queries. Value type; the cache server owns one per tier.
+// queries. Value type; the file system owns one per tier.
 class Device {
  public:
   explicit Device(DeviceKind kind) : kind_(kind) {}

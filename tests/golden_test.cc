@@ -14,6 +14,10 @@
 // batch entry points (strided block and row pointers) at batch sizes
 // around the kernel's 64-row block, single rows included.
 //
+// A third file, tests/golden/prototype_digests.txt, pins the prototype
+// path: the caching server's per-job records (every PlacedJob field) and
+// its framework-split savings over the same split.
+//
 // On a mismatch the test prints the actual digest in the file's format.
 // There is no regeneration switch: updating a digest means editing the
 // committed file, in a change that argues why the results moved.
@@ -36,6 +40,7 @@
 #include "harness/experiment.h"
 #include "ml/gbdt.h"
 #include "sim/simulator.h"
+#include "storage/cache_server.h"
 #include "trace/generator.h"
 #include "trace/trace.h"
 
@@ -288,6 +293,52 @@ TEST_F(GoldenDigestTest, TrainedModelBits) {
                                     "model";
   expect_line(models, "pipeline/" + gbdt->first,
               digest(core::CategoryModel::train(history, model_config())));
+}
+
+std::uint64_t digest(const storage::CacheServer& server) {
+  Fnv1a h;
+  h.add(static_cast<std::uint64_t>(server.placements().size()));
+  for (const storage::PlacedJob& p : server.placements()) {
+    h.add(p.job_id);
+    h.add(static_cast<std::int32_t>(p.device));
+    h.add(p.spill_fraction);
+    h.add(p.runtime_seconds);
+    h.add(p.runtime_hdd_seconds);
+    h.add(p.tco);
+    h.add(p.tco_hdd);
+    h.add(p.tcio_seconds);
+    h.add(p.tcio_seconds_hdd);
+    h.add(static_cast<std::uint8_t>(p.framework_workload));
+  }
+  // All jobs, framework jobs only, non-framework jobs only.
+  const bool splits[3][2] = {{false, false}, {true, true}, {true, false}};
+  for (const auto& split : splits) {
+    h.add(server.tco_savings_pct(split[0], split[1]));
+    h.add(server.tcio_savings_pct(split[0], split[1]));
+    h.add(server.runtime_savings_pct(split[0], split[1]));
+  }
+  return h.value();
+}
+
+// The prototype path at a 5% quota: the caching server books the replay's
+// per-job outcomes for FirstFit and adaptive ranking.
+TEST_F(GoldenDigestTest, PrototypePathAtFivePercentQuota) {
+  const auto prototype = load_digests("prototype_digests.txt");
+  const trace::Trace& test = split().test;
+  const std::uint64_t cap = quota_capacity(test, 0.05);
+  for (const MethodId id : {MethodId::kFirstFit, MethodId::kAdaptiveRanking}) {
+    SCOPED_TRACE(method_name(id));
+    const SimResult r = run_method(factory(), id, test, cap, MakeOptions{},
+                                   /*record_outcomes=*/true);
+    ASSERT_EQ(r.outcomes.size(), test.size());
+    storage::CacheServer server;
+    for (std::size_t i = 0; i < test.size(); ++i) {
+      const JobOutcome& o = r.outcomes[i];
+      server.record(test.jobs()[i], o.scheduled, o.ssd_share,
+                    o.ssd_time_share);
+    }
+    expect_line(prototype, method_name(id), digest(server));
+  }
 }
 
 }  // namespace

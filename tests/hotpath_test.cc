@@ -3,8 +3,9 @@
 //   * allocation-count guards (a global operator new hook) pinning the
 //     "zero steady-state heap allocations" contract of
 //     FeatureExtractor::extract_into, SimClock::schedule_typed, the
-//     compiled forest scoring, the in-place GBDT tree builder and the
-//     inline served lane (enqueue -> wait_for -> hint-ready);
+//     compiled forest scoring, per-job category prediction, the in-place
+//     GBDT tree builder and the inline served lane (enqueue -> wait_for ->
+//     hint-ready);
 //   * bit-identity of the new paths against their references — matrix rows
 //     vs extract(), precompute_categories with vs without the shared
 //     FeatureMatrix for every backend kind, and the event engine vs the
@@ -255,6 +256,31 @@ TEST(AllocationGuard, SingleRowScoringAndPredictAreAllocationFree) {
   }
   EXPECT_EQ(allocations(), before)
       << "single-row compiled scoring allocated on the per-row path";
+  EXPECT_GE(acc, 0);
+}
+
+TEST(AllocationGuard, PerJobCategoryPredictionIsAllocationFree) {
+  // The synchronous per-job path (the registry provider's GBDT backend):
+  // features are extracted into a reused per-thread row, then scored by
+  // the compiled single-row walk.
+  static const auto model = [] {
+    core::CategoryModelConfig config;
+    config.num_categories = 6;
+    config.gbdt.num_rounds = 5;
+    return std::make_shared<const core::CategoryModel>(
+        core::CategoryModel::train(split().train.jobs(), config));
+  }();
+  const core::ModelBackendPtr backend = core::make_gbdt_backend(model);
+  const auto& jobs = split().test.jobs();
+
+  int acc = model->predict_category(jobs.front());  // warm-up
+  const std::uint64_t before = allocations();
+  for (const auto& job : jobs) {
+    acc += model->predict_category(job);
+    acc += backend->predict_category(job);
+  }
+  EXPECT_EQ(allocations(), before)
+      << "per-job category prediction allocated on the per-job path";
   EXPECT_GE(acc, 0);
 }
 

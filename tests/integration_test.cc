@@ -7,7 +7,6 @@
 
 #include "core/byom.h"
 #include "policy/byom_policy.h"
-#include "policy/first_fit.h"
 #include "harness/experiment.h"
 #include "storage/cache_server.h"
 #include "trace/generator.h"
@@ -157,18 +156,31 @@ TEST(EndToEnd, ByomRegistryPolicyMatchesAdaptiveRanking) {
 }
 
 TEST(EndToEnd, PrototypePathAgreesWithSimulator) {
-  // Running the test trace through the storage-substrate CacheServer with
-  // FirstFit must give similar savings to the lightweight simulator
-  // (validating the simulation methodology, paper 5.2).
+  // The prototype path books the event engine's per-job outcomes on the
+  // storage-substrate CacheServer, which prices each job itself. Its
+  // savings must equal the simulator's exactly (the paper's section 5.2
+  // validation of the simulation methodology), adaptive ranking's
+  // on_placed feedback included.
   const auto& f = fixture();
   const auto cap = sim::quota_capacity(f.split.test, 0.05);
-  auto policy = std::make_shared<policy::FirstFitPolicy>();
-  storage::CacheServer server(cap, policy);
-  for (const auto& j : f.split.test.jobs()) server.submit(j);
-  const auto sim_result = f.run(sim::MethodId::kFirstFit, 0.05);
-  EXPECT_NEAR(server.tco_savings_pct(false, false),
-              sim_result.tco_savings_pct(),
-              std::max(1.0, sim_result.tco_savings_pct() * 0.25));
+  for (const auto id :
+       {sim::MethodId::kFirstFit, sim::MethodId::kAdaptiveRanking}) {
+    SCOPED_TRACE(sim::method_name(id));
+    const auto replay = sim::run_method(*f.factory, id, f.split.test, cap,
+                                        {}, /*record_outcomes=*/true);
+    ASSERT_EQ(replay.outcomes.size(), f.split.test.size());
+    storage::CacheServer server;
+    for (std::size_t i = 0; i < f.split.test.size(); ++i) {
+      const sim::JobOutcome& o = replay.outcomes[i];
+      server.record(f.split.test.jobs()[i], o.scheduled, o.ssd_share,
+                    o.ssd_time_share);
+    }
+    const auto sim_result = f.run(id, 0.05);
+    EXPECT_EQ(server.tco_savings_pct(false, false),
+              sim_result.tco_savings_pct());
+    EXPECT_EQ(server.tcio_savings_pct(false, false),
+              sim_result.tcio_savings_pct());
+  }
 }
 
 }  // namespace

@@ -57,6 +57,11 @@ TEST(FirstFit, RejectsWhenFull) {
             Device::kHdd);
 }
 
+TEST(FirstFit, ZeroCapacityPicksHdd) {
+  FirstFitPolicy p;
+  EXPECT_EQ(p.decide(make_job(0, 60, kGiB), view_with(0, 0)), Device::kHdd);
+}
+
 TEST(FirstFit, ExactFitAdmits) {
   FirstFitPolicy p;
   EXPECT_EQ(p.decide(make_job(0, 60, kGiB), view_with(2 * kGiB, kGiB)),

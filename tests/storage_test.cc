@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "common/units.h"
-#include "policy/first_fit.h"
+#include "cost/cost_model.h"
 #include "storage/cache_server.h"
 #include "storage/chunking.h"
 #include "storage/device.h"
@@ -203,45 +201,59 @@ trace::Job server_job(double arrival, double lifetime, std::uint64_t bytes,
   return j;
 }
 
+// The server books placements the event engine made; these feed it the
+// outcomes the engine would record (sim_test covers admission, spill and
+// capacity release).
+
 TEST(CacheServer, PlacesAndAccounts) {
-  auto policy = std::make_shared<policy::FirstFitPolicy>();
-  CacheServer server(10 * kGiB, policy);
-  const auto placed = server.submit(server_job(0, 600, kGiB, true, 1));
+  CacheServer server;
+  const auto placed = server.record(server_job(0, 600, kGiB, true, 1),
+                                    policy::Device::kSsd, 1.0, 1.0);
   EXPECT_EQ(placed.device, policy::Device::kSsd);
   EXPECT_DOUBLE_EQ(placed.spill_fraction, 0.0);
   EXPECT_LT(placed.tco, placed.tco_hdd);  // dense job saves on SSD
   EXPECT_EQ(server.placements().size(), 1u);
 }
 
-TEST(CacheServer, CapacityReleasedOverTime) {
-  auto policy = std::make_shared<policy::FirstFitPolicy>();
-  CacheServer server(kGiB, policy);
-  server.submit(server_job(0, 100, kGiB, true, 1));
-  EXPECT_EQ(server.ssd_used_bytes(), kGiB);
-  // After the first job ends its space frees for the next.
-  const auto second = server.submit(server_job(200, 100, kGiB, true, 2));
-  EXPECT_EQ(second.device, policy::Device::kSsd);
-  EXPECT_EQ(server.ssd_used_bytes(), kGiB);
+TEST(CacheServer, PartialGrantPricesTheGrantedShare) {
+  // A quarter of the job fits, for half its lifetime: the spill is the
+  // rest, the price is the engine's mixed cost, and a mostly-spilled file
+  // lives on HDD.
+  CacheServer server;
+  const auto job = server_job(0, 600, kGiB, true, 1);
+  const auto placed = server.record(job, policy::Device::kSsd, 0.25, 0.5);
+  const cost::CostModel model;
+  EXPECT_DOUBLE_EQ(placed.spill_fraction, 0.75);
+  EXPECT_EQ(placed.tco, model.cost_mixed(job.cost_inputs(), 0.25, 0.5));
+  EXPECT_EQ(placed.tcio_seconds,
+            model.tcio_seconds_mixed(job.cost_inputs(), 0.25, 0.5));
+  EXPECT_DOUBLE_EQ(
+      server.file_system().device(DeviceKind::kSsd).total_written_bytes(),
+      0.0);
+  EXPECT_GT(
+      server.file_system().device(DeviceKind::kHdd).total_written_bytes(),
+      0.0);
 }
 
 TEST(CacheServer, RuntimeNeverRegresses) {
   // SSD placement must not make any job slower than its HDD baseline
   // (paper Appendix C.1.2: "no workload shows any regressions").
-  auto policy = std::make_shared<policy::FirstFitPolicy>();
-  CacheServer server(100 * kGiB, policy);
+  CacheServer server;
   for (int i = 0; i < 20; ++i) {
-    const auto placed = server.submit(
-        server_job(i * 50.0, 600, kGiB, i % 2 == 0, 100 + i));
+    const auto placed =
+        server.record(server_job(i * 50.0, 600, kGiB, i % 2 == 0, 100 + i),
+                      policy::Device::kSsd, 1.0, 1.0);
     EXPECT_LE(placed.runtime_seconds,
               placed.runtime_hdd_seconds * (1.0 + 1e-9));
   }
 }
 
 TEST(CacheServer, DenseJobsGainMoreRuntime) {
-  auto policy = std::make_shared<policy::FirstFitPolicy>();
-  CacheServer server(100 * kGiB, policy);
-  const auto dense = server.submit(server_job(0, 600, kGiB, true, 1));
-  const auto cold = server.submit(server_job(1000, 600, kGiB, false, 2));
+  CacheServer server;
+  const auto dense = server.record(server_job(0, 600, kGiB, true, 1),
+                                   policy::Device::kSsd, 1.0, 1.0);
+  const auto cold = server.record(server_job(1000, 600, kGiB, false, 2),
+                                  policy::Device::kSsd, 1.0, 1.0);
   const double dense_gain =
       1.0 - dense.runtime_seconds / dense.runtime_hdd_seconds;
   const double cold_gain =
@@ -250,26 +262,26 @@ TEST(CacheServer, DenseJobsGainMoreRuntime) {
 }
 
 TEST(CacheServer, SavingsAggregationFiltersWorkloadKind) {
-  auto policy = std::make_shared<policy::FirstFitPolicy>();
-  CacheServer server(100 * kGiB, policy);
+  CacheServer server;
   auto fw = server_job(0, 600, kGiB, true, 1);
   fw.framework_workload = true;
   auto nfw = server_job(50, 600, kGiB, true, 2);
   nfw.framework_workload = false;
-  server.submit(fw);
-  server.submit(nfw);
+  server.record(fw, policy::Device::kSsd, 1.0, 1.0);
+  server.record(nfw, policy::Device::kSsd, 1.0, 1.0);
   EXPECT_GT(server.tco_savings_pct(true, true), 0.0);
   EXPECT_GT(server.tco_savings_pct(true, false), 0.0);
   EXPECT_GT(server.tcio_savings_pct(false, false), 0.0);
 }
 
 TEST(CacheServer, HddDecisionCostsBaseline) {
-  // Zero capacity: FirstFit must send everything to HDD.
-  auto policy = std::make_shared<policy::FirstFitPolicy>();
-  CacheServer server(0, policy);
-  const auto placed = server.submit(server_job(0, 600, kGiB, true, 1));
+  CacheServer server;
+  const auto placed = server.record(server_job(0, 600, kGiB, true, 1),
+                                    policy::Device::kHdd, 0.0, 1.0);
   EXPECT_EQ(placed.device, policy::Device::kHdd);
+  EXPECT_DOUBLE_EQ(placed.spill_fraction, 0.0);
   EXPECT_DOUBLE_EQ(placed.tco, placed.tco_hdd);
+  EXPECT_DOUBLE_EQ(placed.runtime_seconds, placed.runtime_hdd_seconds);
   EXPECT_DOUBLE_EQ(server.tco_savings_pct(false, false), 0.0);
 }
 
