@@ -150,6 +150,11 @@ MixedDeployment MixedDeployment::generate(std::uint64_t seed) {
                static_cast<double>(j.peak_bytes));
   }
   d.peak_bytes = static_cast<std::uint64_t>(series.peak());
+  // All four workload families bring gradient-boosted-tree category models
+  // (Appendix C.1); one registry model per pipeline family works the same
+  // way here as one model per workload.
+  d.model = std::make_shared<const core::CategoryModel>(
+      core::CategoryModel::train(d.train, bench_model_config(15)));
   return d;
 }
 
@@ -179,11 +184,6 @@ MixedDeploymentResult MixedDeployment::run_adaptive_ranking(
     double quota) const {
   const auto cap =
       static_cast<std::uint64_t>(static_cast<double>(peak_bytes) * quota);
-  // All four workload families bring gradient-boosted-tree category models
-  // (Appendix C.1); one registry model per pipeline family works the same
-  // way here as one model per workload.
-  auto model = std::make_shared<core::CategoryModel>(
-      core::CategoryModel::train(train, bench_model_config(15)));
   auto registry = std::make_shared<core::ModelRegistry>();
   registry->set_default_model(model);
   policy::ByomPolicyOptions options;

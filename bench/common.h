@@ -94,8 +94,12 @@ struct MixedDeployment {
   std::vector<trace::Job> train;
   trace::Trace test;
   std::uint64_t peak_bytes = 0;
+  // The 15-class category model trained once on `train`; every adaptive
+  // ranking replay of the deployment shares it.
+  std::shared_ptr<const core::CategoryModel> model;
 
-  // Builds the workload mix deterministically from `seed`.
+  // Builds the workload mix deterministically from `seed` and trains its
+  // category model.
   static MixedDeployment generate(std::uint64_t seed);
 
   // Replays the test phase under FirstFit or BYOM Adaptive Ranking.

@@ -129,9 +129,8 @@ void BM_EventScheduleTyped(benchmark::State& state) {
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
       clock.schedule_typed(clock.now() + static_cast<double>(i & 7),
-                           sim::SimClock::kReleasePriority,
-                           sim::SimClock::EventKind::kRelease, +handler,
-                           nullptr, static_cast<std::uint64_t>(i));
+                           sim::SimClock::kReleasePriority, +handler, nullptr,
+                           static_cast<std::uint64_t>(i));
     }
     clock.run_all();
     benchmark::DoNotOptimize(sink);

@@ -90,10 +90,6 @@ int CategoryModel::predict_category(const trace::Job& job) const {
   return classifier_.predict(extract_row(extractor_, job));
 }
 
-std::vector<double> CategoryModel::predict_proba(const trace::Job& job) const {
-  return classifier_.predict_proba(extract_row(extractor_, job));
-}
-
 int CategoryModel::true_category(const trace::Job& job) const {
   return labeler_.category_of(job);
 }

@@ -64,8 +64,6 @@ class CategoryModel {
 
   // Model inference: importance category from pre-execution features only.
   int predict_category(const trace::Job& job) const;
-  // Per-class probabilities (used by accuracy/AUC analyses).
-  std::vector<double> predict_proba(const trace::Job& job) const;
   // Ground-truth category from post-execution measurements.
   int true_category(const trace::Job& job) const;
 

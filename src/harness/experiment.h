@@ -123,8 +123,8 @@ struct MakeOptions {
 
 // Everything one simulation cell needs: the policy plus the virtual-time
 // machinery behind it. make_sim_config passes clock/service/staleness into
-// SimConfig so the engine drives hint delivery and retrains on the same
-// timeline as the arrivals.
+// SimConfig so the engine submits hint requests and drives retrains on the
+// same timeline as the arrivals.
 struct PolicyContext {
   std::unique_ptr<policy::PlacementPolicy> policy;
   std::shared_ptr<SimClock> clock;

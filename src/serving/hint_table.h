@@ -1,9 +1,9 @@
-// HintTable — the flat job-id table behind PlacementService's published
-// and in-flight hints: open addressing with linear probing over one
-// power-of-two slot array, erase by backward shift (no tombstones), load
-// factor at most 1/2. It allocates only when it grows, so a table whose
-// size stays bounded — hints leave it as consumers take them — stops
-// touching the heap after warm-up.
+// HintTable — the flat job-id table behind each PlacementService shard's
+// hints: open addressing with linear probing over one power-of-two slot
+// array, erase by backward shift (no tombstones), load factor at most 1/2.
+// It allocates only when it grows, so a table whose size stays bounded —
+// hints leave it as consumers look them up — stops touching the heap after
+// warm-up.
 #pragma once
 
 #include <cstddef>
@@ -18,15 +18,6 @@ template <typename V>
 class HintTable {
  public:
   std::size_t size() const { return size_; }
-
-  V* find(std::uint64_t id) {
-    const std::size_t i = index_of(id);
-    return i == kAbsent ? nullptr : &slots_[i].value;
-  }
-  const V* find(std::uint64_t id) const {
-    const std::size_t i = index_of(id);
-    return i == kAbsent ? nullptr : &slots_[i].value;
-  }
 
   // Inserts (id, value) unless `id` is present; returns whether it did.
   bool insert(std::uint64_t id, const V& value) {

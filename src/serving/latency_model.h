@@ -27,8 +27,8 @@ class LatencyModel {
 
   virtual std::string name() const = 0;
 
-  // Virtual seconds between enqueue and hint-ready for this request.
-  // Must be >= 0 and deterministic per job.
+  // Virtual seconds between enqueue and the hint's ready time for this
+  // request. Must be >= 0 and deterministic per job.
   virtual double latency_seconds(const trace::Job& job) const = 0;
 };
 

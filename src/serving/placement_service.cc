@@ -20,10 +20,14 @@ PlacementServiceConfig resolve_config(PlacementServiceConfig config) {
   if (config.fallback_num_categories < 2) {
     throw std::invalid_argument("PlacementService: fallback N >= 2 required");
   }
+  if (!(config.request_deadline >= 0.0)) {
+    throw std::invalid_argument(
+        "PlacementService: request_deadline must be >= 0");
+  }
   if (config.latency_model && !config.clock) {
     throw std::invalid_argument(
-        "PlacementService: a latency model requires a clock (a future-ready "
-        "hint is scheduled on it)");
+        "PlacementService: a latency model requires a clock (a hint's ready "
+        "time is judged against it)");
   }
   if (config.clock) {
     if (config.num_threads != 0) {
@@ -49,12 +53,9 @@ PlacementService::Shard::Shard(PlacementService* service,
                 service->execute_batch(*this, batch);
               }) {}
 
-void PlacementService::Shard::publish(std::uint64_t job_id, int category,
+void PlacementService::Shard::publish(std::uint64_t job_id, const Hint& hint,
                                       double latency) {
-  if (results.insert(job_id, category)) account(latency);
-}
-
-void PlacementService::Shard::account(double latency) {
+  if (!results.insert(job_id, hint)) return;
   ++completed;
   latency_total_s += latency;
   latency_max_s = std::max(latency_max_s, latency);
@@ -128,58 +129,36 @@ std::size_t PlacementService::enqueue_all(
   return accepted;
 }
 
-std::optional<int> PlacementService::lookup(std::uint64_t job_id) const {
-  for (const auto& owned : shards_) {
-    const Shard& shard = *owned;
-    common::MutexLock lock(shard.results_mutex);
-    if (const int* category = shard.results.find(job_id)) return *category;
-  }
-  return std::nullopt;
-}
-
-// hotpath: the served lookup; takes the hint out of the shard's tables.
+// hotpath: the served lookup; takes the hint out of the shard's table.
 std::optional<int> PlacementService::wait_for_inline(Shard& shard,
                                                      std::uint64_t job_id) {
-  const double t = now();
-  std::optional<int> hint;
+  std::optional<Hint> hint;
   {
     common::MutexLock lock(shard.results_mutex);
     hint = shard.results.take(job_id);
   }
   if (!hint) {
-    // Compute everything queued on this shard so far; results land in the
-    // published table (ready now) or the in-flight table (ready later).
+    // Compute everything queued on this shard so far; each result enters
+    // the table with its ready time.
     shard.batcher.drain();
     common::MutexLock lock(shard.results_mutex);
     hint = shard.results.take(job_id);
-    if (!hint) {
-      if (InFlightHint* pending = shard.in_flight.find(job_id)) {
-        if (pending->ready_time <= t + config_.request_deadline) {
-          // The consumer's wait budget covers the remaining latency:
-          // consume the hint "mid-wait". The scheduled hint-ready event
-          // finds it gone and does nothing.
-          hint = pending->category;
-          shard.account(pending->latency);
-          shard.in_flight.take(job_id);
-        } else {
-          // The hint cannot make the deadline: Algorithm 1 falls back now;
-          // the hint-ready event will deliver (and count) it late.
-          pending->missed = true;
-        }
-      }
-    }
   }
-  if (!hint) {
-    // atomic: relaxed — stats counter; publishes no data, only summed
-    // by stats()
+  // The consumer waits up to request_deadline in virtual time. A hint that
+  // cannot be ready by then is a miss now (Algorithm 1 falls back) and is
+  // counted late; it has left the table all the same.
+  if (!hint || hint->ready_time > now() + config_.request_deadline) {
+    // atomic: relaxed — stats counters; publish no data, only summed by
+    // stats()
     shard.misses.fetch_add(1, std::memory_order_relaxed);
+    if (hint) shard.late.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
   // atomic: relaxed — stats counters; publish no data, only summed by
   // stats()
   shard.hits.fetch_add(1, std::memory_order_relaxed);
   shard.on_time.fetch_add(1, std::memory_order_relaxed);
-  return hint;
+  return hint->category;
 }
 
 std::optional<int> PlacementService::wait_for_threaded(Shard& shard,
@@ -193,7 +172,7 @@ std::optional<int> PlacementService::wait_for_threaded(Shard& shard,
   // Explicit predicate loop (not the lambda-predicate wait overload): the
   // thread-safety analysis checks each guarded access in this scope, where
   // it can see the MutexLock.
-  std::optional<int> hint = shard.results.take(job_id);
+  std::optional<Hint> hint = shard.results.take(job_id);
   while (!hint) {
     const bool timed_out = shard.results_cv.wait_until(lock, deadline) ==
                            std::cv_status::timeout;
@@ -203,7 +182,7 @@ std::optional<int> PlacementService::wait_for_threaded(Shard& shard,
   if (hint) {
     // atomic: relaxed — stats counter; only summed by stats()
     shard.hits.fetch_add(1, std::memory_order_relaxed);
-    return hint;
+    return hint->category;
   }
   // atomic: relaxed — stats counter; only summed by stats()
   shard.misses.fetch_add(1, std::memory_order_relaxed);
@@ -214,30 +193,6 @@ std::optional<int> PlacementService::wait_for(const trace::Job& job) {
   Shard& shard = shard_for(job);
   return deterministic() ? wait_for_inline(shard, job.job_id)
                          : wait_for_threaded(shard, job.job_id);
-}
-
-void PlacementService::on_hint_ready_event(void* ctx, std::uint64_t job_id,
-                                           double) {
-  static_cast<PlacementService*>(ctx)->deliver_virtual(job_id);
-}
-
-// hotpath: one hint-ready event per in-flight hint.
-void PlacementService::deliver_virtual(std::uint64_t job_id) {
-  // Hint-ready event: move the in-flight hint into the published table. If
-  // the consumer already took it mid-wait (or it was never computed) there
-  // is nothing to do.
-  Shard& shard = *shards_.front();
-  bool missed = false;
-  {
-    common::MutexLock lock(shard.results_mutex);
-    const InFlightHint* pending = shard.in_flight.find(job_id);
-    if (pending == nullptr) return;
-    shard.publish(job_id, pending->category, pending->latency);
-    missed = pending->missed;
-    shard.in_flight.take(job_id);
-  }
-  // atomic: relaxed — late-hint stats counter; only summed by stats()
-  if (missed) shard.late.fetch_add(1, std::memory_order_relaxed);
 }
 
 // hotpath: one call per batch; jobs are staged as pointers on the stack.
@@ -262,47 +217,26 @@ void PlacementService::execute_batch(
   }
 }
 
-// hotpath: per-job table updates and hint-ready scheduling.
+// hotpath: one locked table insert per computed hint.
 void PlacementService::publish_chunk(
     Shard& shard, common::Span<const InferenceRequest> requests,
     const int* categories) {
+  // A hint is ready its latency after its enqueue: inline, the latency
+  // model's delay, so possibly later than now (wait_for judges it against
+  // the consumer's deadline); threaded, the measured latency, so now.
   const double t = now();
-  if (deterministic()) {
-    // A hint ready by now is published; a later one (only possible with a
-    // clock, which any latency model requires) goes in flight until its
-    // hint-ready event.
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      const trace::Job& job = requests[i].job;
-      const double latency =
-          config_.latency_model ? config_.latency_model->latency_seconds(job)
-                                : 0.0;
-      const double ready = requests[i].enqueued_at + latency;
-      {
-        common::MutexLock lock(shard.results_mutex);
-        if (ready <= t) {
-          shard.publish(job.job_id, categories[i], latency);
-          continue;
-        }
-        if (shard.results.find(job.job_id) != nullptr ||
-            !shard.in_flight.insert(
-                job.job_id, InFlightHint{categories[i], ready, latency,
-                                         /*missed=*/false})) {
-          continue;  // duplicate request for a job still being served
-        }
-      }
-      config_.clock->schedule_typed(ready, sim::SimClock::kHintReadyPriority,
-                                    sim::SimClock::EventKind::kHintReady,
-                                    &PlacementService::on_hint_ready_event,
-                                    this, job.job_id);
-    }
-    return;
-  }
-
   {
     common::MutexLock lock(shard.results_mutex);
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      shard.publish(requests[i].job.job_id, categories[i],
-                    t - requests[i].enqueued_at);
+      const InferenceRequest& request = requests[i];
+      const double latency =
+          !deterministic() ? t - request.enqueued_at
+          : config_.latency_model
+              ? config_.latency_model->latency_seconds(request.job)
+              : 0.0;
+      shard.publish(request.job.job_id,
+                    Hint{categories[i], request.enqueued_at + latency},
+                    latency);
     }
   }
   shard.results_cv.notify_all();

@@ -12,7 +12,7 @@
 //                        |-> shard 0: queue -> Batcher -> predict
 //                        |-> shard 1: queue -> Batcher -> predict
 //                        `-> ...               (one worker set per shard)
-//   provider()->category(job) <---- per-shard published hint table <---+
+//   provider()->category(job) <---- per-shard hint table <-------------+
 //
 // Sharding (the million-RPS serving path): the service stands up
 // `num_shards` fully independent serving lanes — each with its own
@@ -31,20 +31,21 @@
 // are read from it. Which clock depends on the mode:
 //   * num_threads >= 1 (threaded): the steady clock. Worker threads (per
 //     shard) drive the batcher; consumers wait up to `request_deadline` for
-//     an in-flight hint before declining (a miss, counted — the consumer's
-//     fallback chain takes over).
+//     a hint still being computed before declining (a miss, counted — the
+//     consumer's fallback chain takes over).
 //   * num_threads == 0 (inline, virtual time): the injected sim::SimClock,
 //     or 0 without one. No threads: a lookup drains the job's shard on the
 //     calling thread, and every request is charged
-//     `latency_model->latency_seconds(job)` of virtual delay. A consumer
-//     waits up to `request_deadline` virtual seconds for its hint; a hint
-//     that cannot make that deadline is a miss (the consumer degrades to
-//     its fallback, per Algorithm 1) and is delivered later by a hint-ready
-//     event on the clock, counted `late`. Without a clock, time stands at 0
-//     and every hint is ready when looked up, so results are
-//     bit-reproducible — the mode simulation cells and tests use. A clock
-//     (and so any latency model) requires num_shards == 1: simulation cells
-//     stay on the single-lane path.
+//     `latency_model->latency_seconds(job)` of virtual delay, so its hint
+//     carries a ready time (enqueue time + delay). A consumer waits up to
+//     `request_deadline` virtual seconds for its hint: a hint ready by then
+//     is consumed on time; one that is not is a miss (the consumer degrades
+//     to its fallback, per Algorithm 1) and is counted `late` right then.
+//     The service only reads the clock — it schedules no events. Without a
+//     clock, time stands at 0 and every hint is ready when looked up, so
+//     results are bit-reproducible — the mode simulation cells and tests
+//     use. A clock (and so any latency model) requires num_shards == 1:
+//     simulation cells stay on the single-lane path.
 //
 // Category values are produced by the same registry-grouped pass as the
 // offline path (core::predict_categories, which core::precompute_categories
@@ -63,13 +64,12 @@
 //     (serving/inference_queue.h);
 //   * a batch is predicted through job pointers and stack scratch into a
 //     span (core::predict_categories, ModelBackend::predict_into);
-//   * the published and in-flight hint tables are flat open-addressing
-//     tables (serving/hint_table.h), and consumption removes the hint: a
-//     hint that wait_for() returns leaves the table, so the tables hold
-//     only hints nobody has taken yet. A late hint — delivered after its
-//     consumer fell back — is never taken and stays visible to lookup().
-//     A request for a job whose hint is still in a table changes nothing;
-//     once its hint was taken, a new request for the job is served afresh.
+//   * each shard keeps one flat open-addressing hint table
+//     (serving/hint_table.h) of {category, ready time}, and a lookup
+//     removes the hint whether it was on time or late, so the table holds
+//     only hints no consumer has consumed or missed yet. A request for a
+//     job whose hint is still in the table changes nothing; once its hint
+//     left, a new request for the job is served afresh.
 #pragma once
 
 #include <atomic>
@@ -106,10 +106,9 @@ struct PlacementServiceConfig {
   // Batcher flush deadline: max hint latency added by batching under light
   // load (threaded mode only).
   std::chrono::milliseconds flush_deadline{2};
-  // Consumer wait budget for an in-flight hint before declining, in
-  // seconds of the service clock: a hint ready within this much of the
-  // lookup is consumed on time; anything slower is a miss (inline: and a
-  // late delivery).
+  // Consumer wait budget for a hint before declining, in seconds of the
+  // service clock (>= 0): a hint ready within this much of the lookup is
+  // consumed on time; anything slower is a miss (inline: counted late).
   double request_deadline = 0.005;
   // Worker threads driving each shard's batcher (so the service runs
   // num_shards * num_threads workers in total). 0 selects the inline
@@ -124,8 +123,8 @@ struct PlacementServiceConfig {
   // at 0.
   std::shared_ptr<sim::SimClock> clock;
   // Per-request serving delay (queueing + batching + inference). Null means
-  // zero latency; non-null requires a clock, where a future-ready hint is
-  // scheduled.
+  // zero latency; non-null requires a clock, against whose time a hint's
+  // ready time is judged.
   LatencyModelPtr latency_model;
 };
 
@@ -134,21 +133,21 @@ struct PlacementServiceConfig {
 struct ServingStats {
   std::uint64_t enqueued = 0;   // requests accepted into the queues
   std::uint64_t dropped = 0;    // requests rejected (queue full / shut down)
-  std::uint64_t completed = 0;  // hints published
+  std::uint64_t completed = 0;  // hints computed (entered a shard table)
   std::uint64_t hits = 0;       // provider lookups answered with a hint
   std::uint64_t misses = 0;     // provider lookups that declined (deadline
                                 // missed or never requested) -> fallback
-  // Inline-mode hint timeliness: a hint is `on_time` when its consumer got
-  // it within `request_deadline`, `late` when it was delivered by a clock
-  // event after its consumer had already fallen back. When every request is
-  // consumed exactly once (the simulator's regime), on_time + late +
+  // Inline-mode hint timeliness, counted at the lookup: a hint is `on_time`
+  // when it is ready within `request_deadline` of its consumer's lookup,
+  // `late` when it is not (the consumer falls back). When every request is
+  // looked up exactly once (the simulator's regime), on_time + late +
   // dropped accounts for every submitted request.
   std::uint64_t on_time = 0;
   std::uint64_t late = 0;
   std::uint64_t batches = 0;
   std::uint64_t size_flushes = 0;
   std::uint64_t deadline_flushes = 0;
-  // Enqueue -> publish latency of the published hints, in seconds of the
+  // Enqueue -> ready latency of the computed hints, in seconds of the
   // service clock: measured steady-clock time in threaded mode, the latency
   // model's virtual delay inline (zero without a model).
   double latency_total_s = 0.0;
@@ -185,17 +184,12 @@ class PlacementService : public sim::HintService {
   // Returns the number of requests accepted.
   std::size_t enqueue_all(const std::vector<trace::Job>& jobs);
 
-  // Non-blocking look at a published hint that no wait_for() has taken
-  // (no hit/miss accounting, nothing removed). Scans shards; a job id is
-  // published by at most one.
-  std::optional<int> lookup(std::uint64_t job_id) const;
-
   // Consumer-side lookup with the service's fallback semantics, routed
   // straight to the job's shard: waits up to `request_deadline` for the
   // hint (inline mode drains the shard on this thread first, and waits in
-  // virtual time). Counts a hit or a miss. A hint it returns is consumed:
-  // it leaves the shard's tables, so a second wait_for() for the same job
-  // misses unless the job was requested again.
+  // virtual time). Counts a hit or a miss. The hint leaves the shard's
+  // table either way, so a second wait_for() for the same job misses
+  // unless the job was requested again.
   // This is the serving hot path — O(1) in the shard count.
   std::optional<int> wait_for(const trace::Job& job);
 
@@ -227,14 +221,11 @@ class PlacementService : public sim::HintService {
   const PlacementServiceConfig& config() const { return config_; }
 
  private:
-  // A computed hint whose virtual ready time is still in the future.
-  struct InFlightHint {
+  // A computed hint and the service-clock time it is ready at: enqueue
+  // time + latency (threaded, the measured latency, so its publish time).
+  struct Hint {
     int category = 0;
     double ready_time = 0.0;
-    double latency = 0.0;
-    // Consumer already declined this hint (deadline exceeded): deliver
-    // counts it late.
-    bool missed = false;
   };
 
   // One independent serving lane. Lives behind a unique_ptr so `this` stays
@@ -242,20 +233,19 @@ class PlacementService : public sim::HintService {
   struct Shard {
     Shard(PlacementService* service, const PlacementServiceConfig& config);
 
-    // Publishes a hint and accounts it. A hint already published for the
-    // job wins: a duplicate request changes nothing.
-    void publish(std::uint64_t job_id, int category, double latency)
+    // Enters a hint into the table and counts it completed with its
+    // enqueue -> ready latency. A hint already in the table for the job
+    // wins: a duplicate request changes nothing.
+    void publish(std::uint64_t job_id, const Hint& hint, double latency)
         BYOM_REQUIRES(results_mutex);
-    // Counts one completed hint and its enqueue -> publish latency.
-    void account(double latency) BYOM_REQUIRES(results_mutex);
 
     InferenceRequestQueue queue;
     Batcher batcher;
 
     mutable common::Mutex results_mutex;
     common::CondVar results_cv;
-    // Published hints not yet taken by a consumer (late hints stay).
-    HintTable<int> results BYOM_GUARDED_BY(results_mutex);
+    // Computed hints no consumer has consumed or missed yet.
+    HintTable<Hint> results BYOM_GUARDED_BY(results_mutex);
     std::uint64_t completed BYOM_GUARDED_BY(results_mutex) = 0;
     double latency_total_s BYOM_GUARDED_BY(results_mutex) = 0.0;
     double latency_max_s BYOM_GUARDED_BY(results_mutex) = 0.0;
@@ -266,11 +256,6 @@ class PlacementService : public sim::HintService {
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> on_time{0};
     std::atomic<std::uint64_t> late{0};
-
-    // Hints computed but not yet ready in virtual time (clock set, so single
-    // shard; guarded by results_mutex for consistency with the results
-    // table).
-    HintTable<InFlightHint> in_flight BYOM_GUARDED_BY(results_mutex);
 
     // Written by the constructor before any worker runs and joined by
     // shutdown() under shutdown_mutex_; never touched by the workers
@@ -284,15 +269,11 @@ class PlacementService : public sim::HintService {
 
   void execute_batch(Shard& shard,
                      common::Span<const InferenceRequest> batch);
-  // Publishes (or, inline with a future ready time, puts in flight) the
-  // predicted categories of `requests`; categories[i] is requests[i]'s.
+  // Publishes the predicted categories of `requests` with their ready
+  // times; categories[i] is requests[i]'s.
   void publish_chunk(Shard& shard,
                      common::Span<const InferenceRequest> requests,
                      const int* categories);
-  void deliver_virtual(std::uint64_t job_id);
-  // Typed SimClock trampoline (clock set, so shard 0): hint-ready
-  // delivery, dispatched with zero allocation.
-  static void on_hint_ready_event(void* ctx, std::uint64_t job_id, double);
   // The service clock, in seconds: the steady clock when threaded; the
   // SimClock's time, or 0 without a clock, when inline.
   double now() const;

@@ -19,8 +19,8 @@ namespace byom::sim {
 
 // Hint-timeliness counters the engine folds into SimResult after a run.
 struct HintTimeliness {
-  std::uint64_t on_time = 0;  // delivered within the consumer's deadline
-  std::uint64_t late = 0;     // delivered after the decision fell back
+  std::uint64_t on_time = 0;  // ready within the consumer's deadline
+  std::uint64_t late = 0;     // not ready by then: the decision fell back
   std::uint64_t dropped = 0;  // rejected at submission (queue full / down)
 };
 
@@ -32,7 +32,8 @@ class HintService {
   // false when the request was rejected (counted as dropped).
   virtual bool enqueue(const trace::Job& job) = 0;
 
-  // Timeliness counters accumulated so far (read once, after run_all()).
+  // Timeliness counters accumulated so far (read at each counter-window
+  // close and once after the run).
   virtual HintTimeliness hint_timeliness() const = 0;
 };
 

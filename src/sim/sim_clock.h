@@ -2,25 +2,28 @@
 //
 // The simulator, the serving pipeline, and the staleness machinery all share
 // one injectable clock instead of reading wall time: arrivals, capacity
-// releases, hint-ready deliveries, and model retrains are events on a single
-// virtual timeline, so a hint produced by the serving loop can genuinely
-// arrive *after* the placement decision that wanted it, and the whole run
-// stays bit-reproducible regardless of host speed or thread count.
+// releases and model retrains run on a single virtual timeline, and the
+// serving pipeline reads its time to stamp requests and to judge whether a
+// hint is ready by its decision (a hint carries its own ready time, so it
+// needs no event of its own). A hint produced by the serving loop can thus
+// genuinely arrive *after* the placement decision that wanted it, and the
+// whole run stays bit-reproducible regardless of host speed or thread
+// count.
 //
 // Event representation: every event is *typed* — a 40-byte POD carrying a
 // flat trampoline (plain function pointer), a context pointer, one payload
-// word (released bytes, job id, ...), and a packed (priority, sequence,
-// kind) ordering key — pushed into a contiguous 4-ary min-heap. Scheduling
-// is a push into a flat arena: no std::function construction, no per-event
-// heap allocation, no virtual dispatch.
+// word (released bytes, ...), and a packed (priority, sequence) ordering
+// key — pushed into a contiguous 4-ary min-heap. Scheduling is a push into
+// a flat arena: no std::function construction, no per-event heap
+// allocation, no virtual dispatch.
 //
 // Determinism contract: events execute in (time, priority, sequence) order.
 // `priority` breaks ties at equal timestamps between event kinds (capacity
-// releases before retrains before hint deliveries before arrivals — the
-// order the synchronous reference simulator implies; priorities must fit in
-// [0, 255]), and the monotonically increasing sequence number breaks the
-// remaining ties by schedule order. Nothing about execution depends on
-// wall-clock time or scheduling jitter.
+// releases before retrains before arrivals — the order the synchronous
+// reference simulator implies; priorities must fit in [0, 255]), and the
+// monotonically increasing sequence number breaks the remaining ties by
+// schedule order. Nothing about execution depends on wall-clock time or
+// scheduling jitter.
 #pragma once
 
 #include <cstddef>
@@ -32,10 +35,10 @@
 
 namespace byom::sim {
 
-// Single-threaded by contract: the clock is owned by whichever replay or
-// serving shard drives it, and is never shared across threads — callers
-// provide the synchronization (each PlacementService shard owns its own
-// clock; the reference simulator runs one clock on one thread).
+// Single-threaded by contract: the clock is owned by whichever replay
+// drives it, and is never shared across threads — callers provide the
+// synchronization (a clocked PlacementService only reads now(), on the
+// replay's thread; the reference simulator runs one clock on one thread).
 class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
  public:
   // Typed-event trampoline: `ctx` is the scheduling subsystem's own object
@@ -43,25 +46,15 @@ class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
   // `time` the virtual instant the event was scheduled to fire at.
   using Handler = void (*)(void* ctx, std::uint64_t arg, double time);
 
-  // What a typed event *is* — the tag is carried for introspection and
-  // debugging; dispatch goes through the stored trampoline, so SimClock
-  // never depends on the subsystems that schedule on it.
-  enum class EventKind : std::uint8_t {
-    kRelease,    // SSD capacity released at a job's eviction/end time
-    kRetrain,    // model retrain instant on the staleness schedule
-    kHintReady,  // a served category hint becomes visible to consumers
-  };
-
   // Tie-break ranks for events scheduled at the same virtual time. Lower
   // runs first. The ordering mirrors the synchronous simulator: capacity
   // released at t is visible to a decision at t; a retrain at t governs
-  // hints consumed at t; a hint ready at exactly t reaches a decision at t.
+  // hints consumed at t.
   enum EventPriority : int {
     kReleasePriority = 0,
     kRetrainPriority = 1,
-    kHintReadyPriority = 2,
-    kArrivalPriority = 3,
-    kDefaultPriority = 4,
+    kArrivalPriority = 2,
+    kDefaultPriority = 3,
   };
 
   double now() const { return now_; }
@@ -78,9 +71,8 @@ class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
   // Returns the event's sequence number. Inline (with the heap ops below):
   // the replay loop schedules and pops one event per job, so the whole
   // push/sift/pop cycle must inline into the caller.
-  std::uint64_t schedule_typed(double time, int priority, EventKind kind,
-                               Handler handler, void* ctx,
-                               std::uint64_t arg = 0);
+  std::uint64_t schedule_typed(double time, int priority, Handler handler,
+                               void* ctx, std::uint64_t arg = 0);
 
   // Pre-sizes the event heap so a replay of known size never reallocates
   // mid-run.
@@ -119,10 +111,8 @@ class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
   std::uint64_t processed() const { return processed_; }
 
  private:
-  // Packed ordering key: priority in the top 8 bits, the 48-bit sequence
-  // number next, the kind tag in the low 8 bits (below the sequence, so it
-  // never influences order — sequences are unique). One integer compare
-  // settles every time tie.
+  // Packed ordering key: priority in the top 8 bits, the 56-bit sequence
+  // number below it. One integer compare settles every time tie.
   struct Event {
     double time = 0.0;
     std::uint64_t order = 0;
@@ -131,7 +121,6 @@ class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
     std::uint64_t arg = 0;
   };
   static constexpr int kPriorityShift = 56;
-  static constexpr int kSeqShift = 8;
 
   static bool earlier(const Event& a, const Event& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -196,8 +185,8 @@ class BYOM_EXTERNALLY_SYNCHRONIZED SimClock {
 // hotpath: one POD push per scheduled event; steady state must not allocate
 // (heap_ capacity is pre-sized via reserve()).
 inline std::uint64_t SimClock::schedule_typed(double time, int priority,
-                                              EventKind kind, Handler handler,
-                                              void* ctx, std::uint64_t arg) {
+                                              Handler handler, void* ctx,
+                                              std::uint64_t arg) {
   if (handler == nullptr) {
     throw std::invalid_argument("SimClock::schedule_typed: null handler");
   }
@@ -210,8 +199,8 @@ inline std::uint64_t SimClock::schedule_typed(double time, int priority,
   const std::uint64_t seq = next_seq_++;
   Event event;
   event.time = time < now_ ? now_ : time;
-  event.order = (static_cast<std::uint64_t>(priority) << kPriorityShift) |
-                (seq << kSeqShift) | static_cast<std::uint64_t>(kind);
+  event.order =
+      (static_cast<std::uint64_t>(priority) << kPriorityShift) | seq;
   event.handler = handler;
   event.ctx = ctx;
   event.arg = arg;

@@ -76,7 +76,6 @@ struct Engine {
       if (placed > 0) {
         ssd_used += placed;
         clock->schedule_typed(release_time, SimClock::kReleasePriority,
-                              SimClock::EventKind::kRelease,
                               &Engine::on_release, this, placed);
         result->peak_ssd_used_bytes =
             std::max(result->peak_ssd_used_bytes, ssd_used);
@@ -242,8 +241,8 @@ SimResult simulate(trace::JobStream& stream, policy::PlacementPolicy& policy,
   SimClock local_clock;
   SimClock* clock = config.clock ? config.clock.get() : &local_clock;
   // Pre-size the event arena: at most one pending release per live job
-  // (hint-ready/retrain events ride on top with room to spare), so the
-  // replay itself never reallocates the heap mid-run.
+  // (retrain events ride on top with room to spare), so the replay itself
+  // never reallocates the heap mid-run.
   clock->reserve(expected + 64);
 
   Engine engine;
@@ -261,7 +260,6 @@ SimResult simulate(trace::JobStream& stream, policy::PlacementPolicy& policy,
     for (const double t : config.staleness->retrain_times(
              config.horizon_start, config.horizon_end)) {
       clock->schedule_typed(t, SimClock::kRetrainPriority,
-                            SimClock::EventKind::kRetrain,
                             &RetrainSink::on_retrain, &retrain_sink);
     }
   }
@@ -274,11 +272,11 @@ SimResult simulate(trace::JobStream& stream, policy::PlacementPolicy& policy,
 
   // The timeline merges two time-ordered event streams: the pulled arrivals
   // (streams are sorted by arrival; pull order breaks ties) and the clock's
-  // heap (releases, retrains, hint-ready deliveries). Every non-arrival
-  // event kind outranks arrivals at equal times (SimClock::EventPriority),
-  // which is exactly run_until's inclusive semantics — so consuming
-  // arrivals straight from the stream is equivalent to heaping them,
-  // without paying per-job heap traffic on the hot path.
+  // heap (releases, retrains). Every non-arrival event kind outranks
+  // arrivals at equal times (SimClock::EventPriority), which is exactly
+  // run_until's inclusive semantics — so consuming arrivals straight from
+  // the stream is equivalent to heaping them, without paying per-job heap
+  // traffic on the hot path.
   if (config.use_trace_leads && config.hint_service) {
     // Submit-ahead mode: each job's inference request enters the serving
     // queue at arrival - lead. The stream recycles its slot on every
@@ -348,8 +346,9 @@ SimResult simulate(trace::JobStream& stream, policy::PlacementPolicy& policy,
     }
   }
 
-  // Drive the timeline to exhaustion: releases, retrains, and hint-ready
-  // deliveries past the last arrival still fire (late-hint accounting).
+  // Drive the timeline to exhaustion: releases and retrains past the last
+  // arrival still fire. Hint timeliness needs no drain: each hint was
+  // judged on time or late at its job's decision.
   clock->run_all();
   counters.finish(clock);
 

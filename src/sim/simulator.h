@@ -4,12 +4,13 @@
 // of the job spills over to HDD after filling the available SSD capacity."
 //
 // The simulation core runs on a virtual clock (sim/sim_clock.h): job
-// arrivals, SSD capacity releases, hint-ready deliveries from the serving
-// pipeline, and model retrains are all events on one timeline. That is what
-// lets a hint produced by serving/PlacementService arrive *after* the
-// placement decision that wanted it — the policy then degrades that one
-// decision to its hash fallback, exactly as Algorithm 1 prescribes — and
-// what drives the model-staleness dynamics of the paper's section 6.
+// arrivals, SSD capacity releases and model retrains are all events on one
+// timeline, and the serving pipeline reads the same clock. A hint produced
+// by serving/PlacementService carries its ready time (enqueue time plus its
+// serving latency), so it can be ready only *after* the placement decision
+// that wanted it — the policy then degrades that one decision to its hash
+// fallback, exactly as Algorithm 1 prescribes. The same timeline drives
+// the model-staleness dynamics of the paper's section 6.
 // With zero hint latency and no staleness schedule the event engine is
 // bit-identical to the synchronous reference replay (simulate_synchronous),
 // which stays as a deliberately simple reference implementation; the exact
@@ -112,8 +113,8 @@ struct SimResult {
 
   // Hint timeliness (populated when SimConfig::hint_service is set):
   // on_time hints reached their decision within the virtual deadline, late
-  // ones were delivered after their decision had already fallen back, and
-  // dropped requests never entered the serving queue.
+  // ones could not be ready by then (the decision fell back), and dropped
+  // requests never entered the serving queue.
   std::uint64_t hints_on_time = 0;
   std::uint64_t hints_late = 0;
   std::uint64_t hints_dropped = 0;

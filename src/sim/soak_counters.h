@@ -28,7 +28,9 @@ struct CounterRow {
   // Window savings percentage: 100 * (all_hdd - actual) / all_hdd.
   double tco_savings_pct = 0.0;
 
-  // Hint-timeliness deltas (zero when no hint service is wired).
+  // Hint-timeliness deltas (zero when no hint service is wired): on-time
+  // and late hints count in the window of their decision, drops in the
+  // window of their enqueue.
   std::uint64_t hints_on_time = 0;
   std::uint64_t hints_late = 0;
   std::uint64_t hints_dropped = 0;

@@ -178,14 +178,6 @@ TEST_F(CategoryModelTest, PredictedCorrelatesWithTrueCategory) {
   EXPECT_LT(mean_abs, 2.0);
 }
 
-TEST_F(CategoryModelTest, ProbaSumsToOne) {
-  const auto t = cluster_trace(0, 405);
-  const auto p = model().predict_proba(t.jobs().front());
-  double sum = 0.0;
-  for (double v : p) sum += v;
-  EXPECT_NEAR(sum, 1.0, 1e-9);
-}
-
 TEST_F(CategoryModelTest, FileRoundTrip) {
   const auto path =
       std::filesystem::temp_directory_path() / "byom_model_test.txt";

@@ -4,8 +4,8 @@
 //     "zero steady-state heap allocations" contract of
 //     FeatureExtractor::extract_into, SimClock::schedule_typed, the
 //     compiled forest scoring, per-job category prediction, the in-place
-//     GBDT tree builder and the inline served lane (enqueue -> wait_for ->
-//     hint-ready);
+//     GBDT tree builder and the inline served lane (enqueue -> wait_for,
+//     with hints consumed on time or missed);
 //   * bit-identity of the new paths against their references — matrix rows
 //     vs extract(), precompute_categories with vs without the shared
 //     FeatureMatrix for every backend kind, and the event engine vs the
@@ -130,9 +130,8 @@ TEST(AllocationGuard, TypedEventSchedulingIsAllocationFreeInSteadyState) {
   const auto round = [&](int events) {
     for (int i = 0; i < events; ++i) {
       clock.schedule_typed(clock.now() + static_cast<double>(i % 5),
-                           sim::SimClock::kReleasePriority,
-                           sim::SimClock::EventKind::kRelease, +handler,
-                           nullptr, static_cast<std::uint64_t>(i));
+                           sim::SimClock::kReleasePriority, +handler, nullptr,
+                           static_cast<std::uint64_t>(i));
     }
     clock.run_all();
   };
@@ -326,11 +325,10 @@ TEST(AllocationGuard, GeneratedStreamInChunkNextIsAllocationFree) {
 
 TEST(AllocationGuard, ServedLaneIsAllocationFreeInSteadyState) {
   // The inline clocked serving lane, one on-time job at a time: enqueue
-  // (a copy into a recycled ring slot), wait_for (drain -> grouped GBDT
-  // predict_into -> in-flight table -> consumed mid-wait) and the
-  // hint-ready event that finds the hint already taken. Warm-up passes
-  // grow the ring, the batch, the tables, the clock arena and the slots'
-  // strings; after them no cycle may touch the heap.
+  // (a copy into a recycled ring slot) and wait_for (drain -> grouped GBDT
+  // predict_into -> hint table -> consumed mid-wait). Warm-up passes grow
+  // the ring, the batch, the table and the slots' strings; after them no
+  // cycle may touch the heap.
   auto registry = std::make_shared<core::ModelRegistry>();
   registry->set_default_model(core::train_backend(
       core::BackendKind::kGbdt, split().train.jobs(), small_backend_config()));
@@ -354,7 +352,7 @@ TEST(AllocationGuard, ServedLaneIsAllocationFreeInSteadyState) {
       clock->run_until(static_cast<double>(cycle));
       service.enqueue(job);
       if (service.wait_for(job).has_value()) ++hits;
-      clock->run_until(static_cast<double>(cycle) + 0.5);  // hint-ready
+      clock->run_until(static_cast<double>(cycle) + 0.5);  // past ready
     }
   };
 
@@ -372,43 +370,78 @@ TEST(AllocationGuard, ServedLaneIsAllocationFreeInSteadyState) {
   EXPECT_EQ(service.pending_requests(), 0u);
 }
 
-// ---------------------------------------------------- typed event engine
+TEST(AllocationGuard, LateHintsLeaveNoResidue) {
+  // The same clocked lane with every hint missing its deadline (ready 5 s
+  // after its enqueue, 5 ms budget), one fresh job id per cycle. A late
+  // hint leaves the table at its miss and schedules nothing, so neither
+  // the table nor the clock grows: after warm-up no cycle may touch the
+  // heap, and the clock stays empty.
+  auto registry = std::make_shared<core::ModelRegistry>();
+  registry->set_default_model(core::train_backend(
+      core::BackendKind::kGbdt, split().train.jobs(), small_backend_config()));
+  auto clock = std::make_shared<sim::SimClock>();
+  clock->reserve(64);
+  serving::PlacementServiceConfig config;
+  config.num_threads = 0;
+  config.fallback_num_categories = 6;
+  config.clock = clock;
+  config.latency_model = serving::make_fixed_latency_model(5.0);
+  config.request_deadline = 0.005;  // every hint misses
+  serving::PlacementService service(registry, config);
 
-TEST(TypedEvents, KindsInterleaveBySequence) {
-  // The kind tag sits below the sequence in the packed key: at equal time
-  // and priority, events of different kinds run in schedule order.
-  sim::SimClock clock;
-  std::vector<int> order;
-  const auto record = [](void* ctx, std::uint64_t arg, double) {
-    static_cast<std::vector<int>*>(ctx)->push_back(static_cast<int>(arg));
-  };
-  const sim::SimClock::EventKind kinds[] = {
-      sim::SimClock::EventKind::kHintReady, sim::SimClock::EventKind::kRelease,
-      sim::SimClock::EventKind::kRetrain, sim::SimClock::EventKind::kRelease};
-  for (int i = 0; i < 4; ++i) {
-    clock.schedule_typed(1.0, sim::SimClock::kArrivalPriority, kinds[i],
-                         +record, &order, static_cast<std::uint64_t>(i));
+  const auto& test = split().test.jobs();
+  ASSERT_FALSE(test.empty());
+  // Warm-up covers every job in both slot parities; the counted cycles run
+  // at least twice as many, so a table that kept late hints would grow
+  // past its warm-up capacity.
+  const std::size_t warmup = 2 * test.size();
+  const std::size_t counted = std::max<std::size_t>(1000, 2 * warmup);
+  std::vector<trace::Job> jobs;
+  jobs.reserve(warmup + counted);
+  for (std::size_t i = 0; i < warmup + counted; ++i) {
+    jobs.push_back(test[i % test.size()]);
+    jobs.back().job_id = i;
   }
-  EXPECT_EQ(clock.run_all(), 4u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  std::size_t cycle = 0;
+  std::size_t misses = 0;
+  const auto serve = [&](std::size_t cycles) {
+    for (std::size_t c = 0; c < cycles; ++c, ++cycle) {
+      const trace::Job& job = jobs[cycle];
+      clock->run_until(static_cast<double>(cycle));
+      service.enqueue(job);
+      if (!service.wait_for(job).has_value()) ++misses;
+    }
+  };
+
+  serve(warmup);
+  misses = 0;
+  const std::uint64_t before = allocations();
+  serve(counted);
+  EXPECT_EQ(allocations(), before)
+      << "late hints made the served lane allocate in steady state";
+  EXPECT_EQ(misses, counted);
+  EXPECT_EQ(clock->pending(), 0u);
+  const serving::ServingStats stats = service.stats();
+  EXPECT_EQ(stats.late, warmup + counted);
+  EXPECT_EQ(stats.on_time, 0u);
 }
 
-TEST(TypedEvents, PriorityStillOutranksSequenceAcrossKinds) {
+// ---------------------------------------------------- typed event engine
+
+TEST(TypedEvents, PriorityOutranksScheduleOrder) {
   sim::SimClock clock;
   std::vector<int> order;
   const auto record = [](void* ctx, std::uint64_t arg, double) {
     static_cast<std::vector<int>*>(ctx)->push_back(static_cast<int>(arg));
   };
-  clock.schedule_typed(2.0, sim::SimClock::kArrivalPriority,
-                       sim::SimClock::EventKind::kRelease, +record, &order,
+  clock.schedule_typed(2.0, sim::SimClock::kDefaultPriority, +record, &order,
                        3);
-  clock.schedule_typed(2.0, sim::SimClock::kHintReadyPriority,
-                       sim::SimClock::EventKind::kHintReady, +record, &order,
+  clock.schedule_typed(2.0, sim::SimClock::kArrivalPriority, +record, &order,
                        2);
-  clock.schedule_typed(2.0, sim::SimClock::kRetrainPriority,
-                       sim::SimClock::EventKind::kRetrain, +record, &order, 1);
-  clock.schedule_typed(2.0, sim::SimClock::kReleasePriority,
-                       sim::SimClock::EventKind::kRelease, +record, &order, 0);
+  clock.schedule_typed(2.0, sim::SimClock::kRetrainPriority, +record, &order,
+                       1);
+  clock.schedule_typed(2.0, sim::SimClock::kReleasePriority, +record, &order,
+                       0);
   clock.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
@@ -418,12 +451,9 @@ TEST(TypedEvents, RejectsPrioritiesOutsideThePackedRange) {
   // must throw instead of silently wrapping and reordering events.
   sim::SimClock clock;
   const auto noop = [](void*, std::uint64_t, double) {};
-  EXPECT_THROW(clock.schedule_typed(0.0, -1, sim::SimClock::EventKind::kRelease,
-                                    +noop, nullptr),
+  EXPECT_THROW(clock.schedule_typed(0.0, -1, +noop, nullptr),
                std::invalid_argument);
-  EXPECT_THROW(clock.schedule_typed(0.0, 256,
-                                    sim::SimClock::EventKind::kRelease, +noop,
-                                    nullptr),
+  EXPECT_THROW(clock.schedule_typed(0.0, 256, +noop, nullptr),
                std::invalid_argument);
   EXPECT_EQ(clock.pending(), 0u);
 }
@@ -434,8 +464,7 @@ TEST(TypedEvents, HandlerReceivesScheduledTime) {
   const auto record = [](void* ctx, std::uint64_t, double time) {
     *static_cast<double*>(ctx) = time;
   };
-  clock.schedule_typed(4.5, sim::SimClock::kDefaultPriority,
-                       sim::SimClock::EventKind::kRelease, +record,
+  clock.schedule_typed(4.5, sim::SimClock::kDefaultPriority, +record,
                        &fired_at);
   clock.run_all();
   EXPECT_DOUBLE_EQ(fired_at, 4.5);

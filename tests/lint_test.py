@@ -22,6 +22,7 @@ FIXTURES = os.path.join(REPO_ROOT, "tests", "lint_fixtures")
 ALL_RULES = [
     "wall-clock",
     "serving-sleep",
+    "serving-clock-events",
     "ambient-random",
     "hotpath-alloc",
     "locale-dependent",
@@ -85,6 +86,14 @@ class FiringFixtureTest(unittest.TestCase):
         # The tags are honored for the wall-clock rule itself; only the
         # sleep rule ignores them.
         self.assertNotIn("[wall-clock]", out)
+
+    def test_clock_event_on_serving_path_even_when_tagged(self):
+        path = fixture("serving", "bad_clock_event.cc")
+        self.assert_fires(path, "serving-clock-events", [13, 20])
+        code, out, _ = run_linter(path)
+        self.assertIn("a hint carries its ready time", out)
+        # A read of virtual time is what the serving layer may do.
+        self.assertNotIn(f"{path}:8:", out)
 
     def test_ambient_random_in_core(self):
         self.assert_fires(fixture("sim", "bad_random.cc"), "ambient-random",

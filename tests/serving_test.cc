@@ -129,9 +129,9 @@ TEST(InferenceQueue, ShutdownRejectsPushesAndDrainsRemainder) {
 // ---------------------------------------------------------------- HintTable
 
 // The flat table against std::unordered_map under a seeded mix of inserts,
-// duplicate inserts, finds and takes over clustered ids (sequential ids
-// collide into long probe runs, which backward-shift erasure must keep
-// reachable), across several growths.
+// duplicate inserts and takes over clustered ids (sequential ids collide
+// into long probe runs, which backward-shift erasure must keep reachable),
+// across several growths.
 TEST(HintTable, MatchesAMapUnderRandomInsertsAndTakes) {
   HintTable<int> table;
   std::unordered_map<std::uint64_t, int> reference;
@@ -139,35 +139,25 @@ TEST(HintTable, MatchesAMapUnderRandomInsertsAndTakes) {
   for (int step = 0; step < 20000; ++step) {
     const std::uint64_t id = rng.next_u64() % 512 + (step / 4000) * 300;
     const int value = static_cast<int>(rng.next_u64() % 1000);
-    switch (rng.next_u64() % 3) {
-      case 0:
-        EXPECT_EQ(table.insert(id, value), reference.emplace(id, value).second);
-        break;
-      case 1: {
-        const auto it = reference.find(id);
-        const std::optional<int> taken = table.take(id);
-        ASSERT_EQ(taken.has_value(), it != reference.end()) << step;
-        if (taken.has_value()) {
-          EXPECT_EQ(*taken, it->second);
-          reference.erase(it);
-        }
-        break;
-      }
-      default: {
-        const int* found = table.find(id);
-        const auto it = reference.find(id);
-        ASSERT_EQ(found != nullptr, it != reference.end()) << step;
-        if (found != nullptr) {
-          EXPECT_EQ(*found, it->second);
-        }
+    if (rng.next_u64() % 2 == 0) {
+      EXPECT_EQ(table.insert(id, value), reference.emplace(id, value).second);
+    } else {
+      const auto it = reference.find(id);
+      const std::optional<int> taken = table.take(id);
+      ASSERT_EQ(taken.has_value(), it != reference.end()) << step;
+      if (taken.has_value()) {
+        EXPECT_EQ(*taken, it->second);
+        reference.erase(it);
       }
     }
     ASSERT_EQ(table.size(), reference.size());
   }
   for (const auto& [id, value] : reference) {
-    ASSERT_NE(table.find(id), nullptr);
-    EXPECT_EQ(*table.find(id), value);
+    const std::optional<int> taken = table.take(id);
+    ASSERT_TRUE(taken.has_value());
+    EXPECT_EQ(*taken, value);
   }
+  EXPECT_EQ(table.size(), 0u);
 }
 
 // ------------------------------------------------------------------ Batcher
@@ -412,7 +402,7 @@ TEST(PlacementService, ShutdownWithEmptyQueueExitsPromptly) {
 
 // Drain order: requests accepted before shutdown() are executed by the
 // exiting workers — when shutdown returns, nothing is left in the queue and
-// every accepted request has a published hint.
+// every accepted request has a hint waiting for its consumer.
 TEST(PlacementService, ShutdownDrainsAcceptedRequestsBeforeExit) {
   auto& f = fixture();
   PlacementServiceConfig config;
@@ -432,8 +422,9 @@ TEST(PlacementService, ShutdownDrainsAcceptedRequestsBeforeExit) {
   EXPECT_EQ(service.pending_requests(), 0u);
   EXPECT_EQ(service.stats().completed, accepted);
   for (const auto& job : jobs) {
-    EXPECT_TRUE(service.lookup(job.job_id).has_value());
+    EXPECT_TRUE(service.wait_for(job).has_value());
   }
+  EXPECT_EQ(service.stats().hits, accepted);
 }
 
 TEST(PlacementService, ThreadedModeServesHintsBeforeDeadline) {
@@ -572,7 +563,7 @@ TEST(ShardedService, ThreadedShardsServeEveryHintBeforeDeadline) {
 // joining any workers. The old order (stop+join shard by shard) drained
 // shard 0 but left later shards' accepted requests unexecuted when their
 // workers raced the flag. Every accepted request on every shard must have a
-// published hint once shutdown returns.
+// hint waiting for its consumer once shutdown returns.
 TEST(ShardedService, ShutdownDrainsAllShards) {
   auto& f = fixture();
   PlacementServiceConfig config;
@@ -593,10 +584,11 @@ TEST(ShardedService, ShutdownDrainsAllShards) {
   EXPECT_EQ(service.pending_requests(), 0u);
   EXPECT_EQ(service.stats().completed, accepted);
   for (const auto& job : jobs) {
-    EXPECT_TRUE(service.lookup(job.job_id).has_value())
+    EXPECT_TRUE(service.wait_for(job).has_value())
         << "shard " << service.shard_of(job.job_key)
         << " lost a request on shutdown";
   }
+  EXPECT_EQ(service.stats().hits, accepted);
 }
 
 // ISSUE-6 bugfix pin: stats() aggregates per-shard atomics with relaxed
@@ -777,6 +769,15 @@ TEST(VirtualTime, ZeroLatencyClockMatchesClocklessHints) {
   }
 }
 
+// A hint is on time when it is ready within request_deadline of its
+// lookup; a negative budget would make even a ready hint miss.
+TEST(PlacementService, NegativeDeadlineIsRejected) {
+  auto config = fixture().deterministic_config();
+  config.request_deadline = -1.0;
+  EXPECT_THROW(PlacementService(fixture().registry, config),
+               std::invalid_argument);
+}
+
 TEST(VirtualTime, LatencyModelRequiresClock) {
   auto config = fixture().deterministic_config();
   config.latency_model = make_fixed_latency_model(0.5);
@@ -784,17 +785,14 @@ TEST(VirtualTime, LatencyModelRequiresClock) {
                std::invalid_argument);
 }
 
-// Once every submitted job has been looked up once (and every scheduled
-// hint-ready event has fired), on_time + late + dropped accounts for every
-// submitted request, in both inline cases.
+// Once every submitted job has been looked up once, on_time + late +
+// dropped accounts for every submitted request, in both inline cases.
 TEST(VirtualTime, TimelinessAccountsForEverySubmittedRequest) {
   auto& f = fixture();
   const auto& jobs = f.split.test.jobs();
-  const auto check = [&](PlacementService& service,
-                         const std::shared_ptr<sim::SimClock>& clock) {
+  const auto check = [&](PlacementService& service) {
     const std::size_t accepted = service.enqueue_all(jobs);
     for (const auto& job : jobs) service.wait_for(job);
-    if (clock) clock->run_all();
     const auto stats = service.stats();
     EXPECT_GT(stats.dropped, 0u);  // the bounded queue sheds some requests
     EXPECT_EQ(stats.enqueued, accepted);
@@ -809,7 +807,7 @@ TEST(VirtualTime, TimelinessAccountsForEverySubmittedRequest) {
   clockless.num_shards = 4;
   clockless.queue_capacity = jobs.size() / 8;  // per shard
   PlacementService sharded(f.registry, clockless);
-  const auto inline_stats = check(sharded, nullptr);
+  const auto inline_stats = check(sharded);
   EXPECT_EQ(inline_stats.on_time, inline_stats.enqueued);
   EXPECT_EQ(inline_stats.late, 0u);
 
@@ -820,7 +818,7 @@ TEST(VirtualTime, TimelinessAccountsForEverySubmittedRequest) {
   clocked.latency_model = make_fixed_latency_model(5.0);
   clocked.request_deadline = 1.0;
   PlacementService slow(f.registry, clocked);
-  const auto late_stats = check(slow, clocked.clock);
+  const auto late_stats = check(slow);
   EXPECT_EQ(late_stats.late, late_stats.enqueued);
   EXPECT_EQ(late_stats.on_time, 0u);
 }
@@ -845,7 +843,10 @@ TEST(VirtualTime, HintWithinDeadlineConsumedMidWait) {
   EXPECT_NEAR(stats.mean_latency_s(), 0.5, 1e-9);
 }
 
-TEST(VirtualTime, HintBeyondDeadlineIsLateAndDeliveredByEvent) {
+// A hint that cannot be ready within its consumer's deadline is a miss,
+// counted late right then. The miss takes it out of the table, and nothing
+// is scheduled on the clock.
+TEST(VirtualTime, HintBeyondDeadlineIsLateAtTheMiss) {
   auto& f = fixture();
   auto config = f.deterministic_config();
   config.clock = std::make_shared<sim::SimClock>();
@@ -855,28 +856,21 @@ TEST(VirtualTime, HintBeyondDeadlineIsLateAndDeliveredByEvent) {
 
   const auto& job = f.split.test.jobs().front();
   ASSERT_TRUE(service.enqueue(job));
-  EXPECT_FALSE(service.wait_for(job).has_value());  // cannot make it
-  EXPECT_EQ(service.stats().misses, 1u);
-  EXPECT_EQ(service.stats().late, 0u);  // not delivered yet
-
-  // The hint-ready event fires at t = 5: the hint lands in the results
-  // table (an observer sees it) and is counted late.
-  config.clock->run_all();
-  EXPECT_DOUBLE_EQ(config.clock->now(), 5.0);
-  const auto hint = service.lookup(job.job_id);
-  ASSERT_TRUE(hint.has_value());
-  EXPECT_EQ(*hint, f.model->predict_category(job));
+  EXPECT_FALSE(service.wait_for(job).has_value());  // ready at 5: too late
   const auto stats = service.stats();
+  EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.late, 1u);
   EXPECT_EQ(stats.on_time, 0u);
   EXPECT_EQ(stats.completed, 1u);
+  EXPECT_DOUBLE_EQ(stats.latency_total_s, 5.0);
+  EXPECT_EQ(config.clock->pending(), 0u);
 }
 
-// Consumption removes the hint: once wait_for() has returned a hint, the
-// shard's tables no longer hold it (lookup() misses, a second wait_for()
-// misses), while a late hint that no consumer took stays visible. Taking
-// a hint changes neither `completed` nor the latency statistics.
-TEST(VirtualTime, ConsumedHintLeavesTheTableLateHintStays) {
+// A lookup removes the hint whether it was on time or late: a second
+// wait_for() for the same job misses, and is not counted late again.
+// Neither taking nor missing a hint changes `completed` or the latency
+// statistics.
+TEST(VirtualTime, ConsumedAndMissedHintsLeaveTheTable) {
   auto& f = fixture();
   const auto& jobs = f.split.test.jobs();
   ASSERT_GE(jobs.size(), 3u);
@@ -886,22 +880,19 @@ TEST(VirtualTime, ConsumedHintLeavesTheTableLateHintStays) {
   config.request_deadline = 1.0;
   PlacementService service(f.registry, config);
 
-  // Ready at 0.5, consumed mid-wait at 0: straight out of the in-flight
-  // table.
+  // Ready at 0.5, consumed mid-wait at 0.
   ASSERT_TRUE(service.enqueue(jobs[0]));
   ASSERT_TRUE(service.wait_for(jobs[0]).has_value());
-  EXPECT_FALSE(service.lookup(jobs[0].job_id).has_value());
+  EXPECT_FALSE(service.wait_for(jobs[0]).has_value());  // already taken
 
-  // Published before its lookup (ready at 0.5, looked up at 2): taken out
-  // of the published table.
+  // Ready at 0.5, looked up at 2.
   ASSERT_TRUE(service.enqueue(jobs[1]));
   config.clock->run_until(2.0);
   ASSERT_TRUE(service.wait_for(jobs[1]).has_value());
-  EXPECT_FALSE(service.lookup(jobs[1].job_id).has_value());
   EXPECT_FALSE(service.wait_for(jobs[1]).has_value());  // already taken
 
-  // Late: the consumer gave up at 2 (ready at 7, deadline 3); the
-  // hint-ready event publishes it and nobody takes it.
+  // Late: ready at 7, so the consumer gives up at 2 (deadline 3). The miss
+  // took the hint: looked up again past its ready time, it is gone.
   PlacementService slow(f.registry, [&] {
     auto c = config;
     c.latency_model = make_fixed_latency_model(5.0);
@@ -909,22 +900,21 @@ TEST(VirtualTime, ConsumedHintLeavesTheTableLateHintStays) {
   }());
   ASSERT_TRUE(slow.enqueue(jobs[2]));
   EXPECT_FALSE(slow.wait_for(jobs[2]).has_value());
-  config.clock->run_all();
-  const auto late = slow.lookup(jobs[2].job_id);
-  ASSERT_TRUE(late.has_value());
-  EXPECT_EQ(*late, f.model->predict_category(jobs[2]));
-  EXPECT_TRUE(slow.lookup(jobs[2].job_id).has_value());  // lookup keeps it
+  config.clock->run_until(8.0);
+  EXPECT_FALSE(slow.wait_for(jobs[2]).has_value());
+  EXPECT_EQ(config.clock->pending(), 0u);
 
   const auto stats = service.stats();
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.on_time, 2u);
   EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.misses, 2u);
   EXPECT_DOUBLE_EQ(stats.latency_total_s, 1.0);
   EXPECT_DOUBLE_EQ(stats.latency_max_s, 0.5);
   const auto slow_stats = slow.stats();
   EXPECT_EQ(slow_stats.completed, 1u);
   EXPECT_EQ(slow_stats.late, 1u);
+  EXPECT_EQ(slow_stats.misses, 2u);
   EXPECT_DOUBLE_EQ(slow_stats.latency_total_s, 5.0);
 }
 

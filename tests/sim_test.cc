@@ -167,8 +167,7 @@ class Closures {
   void at(double time, std::function<void()> fn,
           int priority = SimClock::kDefaultPriority) {
     fns_.push_back(std::move(fn));
-    clock_->schedule_typed(time, priority, SimClock::EventKind::kRelease,
-                           &Closures::run, &fns_.back());
+    clock_->schedule_typed(time, priority, &Closures::run, &fns_.back());
   }
 
  private:
@@ -195,8 +194,8 @@ TEST(SimClock, PriorityBreaksTiesAtEqualTimes) {
   SimClock clock;
   Closures events(clock);
   std::vector<int> order;
-  events.at(5.0, [&] { order.push_back(3); }, SimClock::kArrivalPriority);
-  events.at(5.0, [&] { order.push_back(2); }, SimClock::kHintReadyPriority);
+  events.at(5.0, [&] { order.push_back(3); }, SimClock::kDefaultPriority);
+  events.at(5.0, [&] { order.push_back(2); }, SimClock::kArrivalPriority);
   events.at(5.0, [&] { order.push_back(0); }, SimClock::kReleasePriority);
   events.at(5.0, [&] { order.push_back(1); }, SimClock::kRetrainPriority);
   clock.run_all();
@@ -253,10 +252,9 @@ TEST(SimClock, RunUntilIsInclusiveAndAdvances) {
 
 TEST(SimClock, RejectsNullHandler) {
   SimClock clock;
-  EXPECT_THROW(clock.schedule_typed(0.0, SimClock::kDefaultPriority,
-                                    SimClock::EventKind::kRelease, nullptr,
-                                    nullptr),
-               std::invalid_argument);
+  EXPECT_THROW(
+      clock.schedule_typed(0.0, SimClock::kDefaultPriority, nullptr, nullptr),
+      std::invalid_argument);
   EXPECT_EQ(clock.pending(), 0u);
 }
 
@@ -424,6 +422,28 @@ TEST_F(ExperimentFactoryTest, ModerateLatencySplitsOnTimeAndLate) {
       std::max(hash.tco_savings_pct(), served.tco_savings_pct()) + 0.5;
   EXPECT_GE(r.tco_savings_pct(), lo);
   EXPECT_LE(r.tco_savings_pct(), hi);
+}
+
+// A served hint carries its ready time, so the cell's clock holds only the
+// engine's own events: at most one capacity release per job scheduled to
+// SSD, plus the retrains. Nothing is left pending after the run.
+TEST_F(ExperimentFactoryTest, ServedCellClockCarriesOnlyReleasesAndRetrains) {
+  const auto cap = quota_capacity(split().test, 0.05);
+  MakeOptions options;
+  options.hint_latency = 1.0;
+  options.hint_deadline = 1.0;
+  options.retrain_period = 86400.0;
+  const PolicyContext context = factory().make_context(
+      MethodId::kAdaptiveServedLatency, split().test, cap, options);
+  ASSERT_TRUE(context.clock);
+  const SimResult r = simulate(split().test, *context.policy,
+                               make_sim_config(factory(), context, cap));
+  EXPECT_GT(r.hints_on_time, 0u);
+  EXPECT_GT(r.hints_late, 0u);
+  EXPECT_GT(r.retrain_events, 0u);
+  EXPECT_LE(context.clock->processed(),
+            r.jobs_scheduled_ssd + r.retrain_events);
+  EXPECT_EQ(context.clock->pending(), 0u);
 }
 
 TEST_F(ExperimentFactoryTest, ServedLatencyRunsAreBitIdentical) {

@@ -26,7 +26,9 @@ oracle/) the wall-clock and ambient-random rules are hard bans: allow
 tags are NOT honored there, because a tagged exception would still leak
 nondeterminism into replay results. Likewise no tag admits a sleep
 (sleep_for/sleep_until) under a serving/ path: a served lookup that
-polls must do so with a zero-wait sweep.
+polls must do so with a zero-wait sweep; nor a SimClock event scheduled
+under a serving/ path: a served hint carries its ready time, and the
+serving layer only reads virtual time.
 
 Hot-path allocation checks: a comment line containing `hotpath:` marks
 the next function definition as allocation-free; its body (brace-matched)
@@ -41,7 +43,8 @@ import sys
 
 # Path components whose files form the deterministic replay core.
 RESTRICTED_COMPONENTS = {"sim", "core", "policy", "oracle"}
-# Path component whose files form the serving path (no sleeps at all).
+# Path component whose files form the serving path (no sleeps and no clock
+# events at all).
 SERVING_COMPONENT = "serving"
 
 CPP_EXTENSIONS = {".h", ".hpp", ".cc", ".cpp"}
@@ -60,6 +63,13 @@ RULES = {
         "sleep_for/sleep_until are banned under any serving/ path (no allow "
         "tags honored, lint:allow(wall-clock) included): a served lookup "
         "that polls must use a zero-wait sweep, never a sleep.",
+    ),
+    "serving-clock-events": (
+        "no clock events scheduled on the serving path",
+        "SimClock::schedule_typed is banned under any serving/ path (no "
+        "allow tags honored): a served hint carries its ready time, which "
+        "the lookup compares with the consumer's deadline, so the serving "
+        "layer reads virtual time and never schedules on it.",
     ),
     "ambient-random": (
         "no ambient randomness in the deterministic core",
@@ -127,6 +137,7 @@ WALL_CLOCK_RE = re.compile(
     r"sleep_until|clock_gettime|gettimeofday)\b|std::time\s*\("
 )
 SLEEP_RE = re.compile(r"\b(?:sleep_for|sleep_until)\b")
+SCHEDULE_RE = re.compile(r"\bschedule_typed\b")
 AMBIENT_RANDOM_RE = re.compile(r"\b(?:srand|random_device)\b|std::rand\b")
 LOCALE_RE = re.compile(
     r"\b(?:tolower|toupper|isalnum|isalpha|isdigit|isspace|isupper|"
@@ -439,6 +450,10 @@ def lint_file(path, violations):
         scan_regex(SLEEP_RE, stripped_lines, "serving-sleep",
                    "sleep on the serving path (no allow tag admits it; poll "
                    "with a zero-wait sweep)",
+                   path, False, {}, violations)
+        scan_regex(SCHEDULE_RE, stripped_lines, "serving-clock-events",
+                   "clock event scheduled on the serving path (no allow tag "
+                   "admits it; a hint carries its ready time)",
                    path, False, {}, violations)
     scan_regex(AMBIENT_RANDOM_RE, stripped_lines, "ambient-random",
                "ambient randomness", path, restricted, allows, violations)
