@@ -39,36 +39,6 @@ BenchCluster make_bench_cluster(std::uint32_t cluster_id, int num_pipelines,
   return cluster;
 }
 
-PrecomputedCategories::PrecomputedCategories(const core::CategoryModel& model,
-                                             const trace::Trace& test,
-                                             bool use_true_category) {
-  const auto& jobs = test.jobs();
-  auto map = std::make_shared<policy::CategoryHints>();
-  map->reserve(jobs.size());
-  if (use_true_category) {
-    for (const auto& job : jobs) {
-      map->emplace(job.job_id, model.true_category(job));
-    }
-  } else {
-    const auto categories = model.predict_categories(jobs);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      map->emplace(jobs[i].job_id, categories[i]);
-    }
-  }
-  hints_ = std::move(map);
-}
-
-core::CategoryProviderPtr PrecomputedCategories::provider() const {
-  return core::make_precomputed_provider(hints_, "precomputed");
-}
-
-std::unique_ptr<policy::AdaptiveCategoryPolicy> make_precomputed_ranking(
-    const PrecomputedCategories& pre, const policy::AdaptiveConfig& config,
-    const std::string& name) {
-  return std::make_unique<policy::AdaptiveCategoryPolicy>(
-      name, pre.provider(), config);
-}
-
 sim::SimResult run_policy(policy::PlacementPolicy& policy,
                           const trace::Trace& test,
                           std::uint64_t capacity_bytes,

@@ -1,6 +1,8 @@
 // Shared helpers for the figure/table benches: standard bench-sized
-// clusters, cached model training, and category precomputation (so quota
-// sweeps do not re-run GBDT inference for every configuration).
+// clusters and their model config, policy and prototype replays, and the
+// mixed prototype deployment. Adaptive ranking predicts through a model
+// registry (MethodFactory cells, policy::make_byom_policy); nothing here
+// holds a category table of its own.
 #pragma once
 
 #include <cstdint>
@@ -36,29 +38,6 @@ BenchCluster make_bench_cluster(std::uint32_t cluster_id,
 // Model config used across benches (paper: 15 classes, <= 300 trees,
 // depth <= 6).
 core::CategoryModelConfig bench_model_config(int categories = 15);
-
-// Precomputed per-job categories: one batched inference pass
-// (CategoryModel::predict_batch) shared by every simulation of a sweep.
-class PrecomputedCategories {
- public:
-  PrecomputedCategories(const core::CategoryModel& model,
-                        const trace::Trace& test, bool use_true_category);
-
-  // The hint table as a CategoryProvider (declines outside the table).
-  core::CategoryProviderPtr provider() const;
-  // Hint table for MethodFactory::set_predicted_hints / set_true_hints.
-  std::shared_ptr<const policy::CategoryHints> hints() const {
-    return hints_;
-  }
-
- private:
-  std::shared_ptr<const policy::CategoryHints> hints_;
-};
-
-// Builds an AdaptiveRanking policy over precomputed categories.
-std::unique_ptr<policy::AdaptiveCategoryPolicy> make_precomputed_ranking(
-    const PrecomputedCategories& pre, const policy::AdaptiveConfig& config,
-    const std::string& name = "AdaptiveRanking");
 
 // Runs an arbitrary policy on a test trace under a byte capacity.
 sim::SimResult run_policy(policy::PlacementPolicy& policy,

@@ -6,9 +6,9 @@
 //   * TCO curves flatten (or dip) at large quotas, unlike TCIO.
 //
 // The 7 x 10 (method x quota) grid runs through the parallel
-// ExperimentRunner: one batched inference pass feeds every AdaptiveRanking
-// cell, and the cells shard across a thread pool with results identical to
-// the serial path.
+// ExperimentRunner: each AdaptiveRanking cell predicts its test window in
+// one batched pass through its model registry, and the cells shard across
+// a thread pool with results identical to the serial path.
 #include <cstdio>
 
 #include "common.h"
@@ -27,12 +27,6 @@ int main() {
   auto cluster = bench::make_bench_cluster(0);
   const auto& test = cluster.split.test;
   auto& factory = *cluster.factory;
-
-  // Train once and run one batched inference pass; every AdaptiveRanking
-  // cell consumes the same hint table.
-  const bench::PrecomputedCategories predicted(factory.category_model(), test,
-                                               false);
-  factory.set_predicted_hints(predicted.hints());
 
   const std::vector<sim::MethodId> methods = {
       sim::MethodId::kAdaptiveRanking, sim::MethodId::kAdaptiveHash,

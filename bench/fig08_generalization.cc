@@ -27,19 +27,14 @@ int main() {
 
   // Factories trained on each cluster's own week, all evaluated on the
   // home cluster C0's test week (which also supplies the baselines). Each
-  // factory carries one batched-inference hint pass over the shared test
-  // trace, so no cell re-runs the GBDT.
+  // AdaptiveRanking cell predicts the shared test trace in one batched pass
+  // through its factory's model registry.
   std::vector<bench::BenchCluster> clusters;
   clusters.push_back(bench::make_bench_cluster(0));
   for (std::uint32_t cid = 1; cid < 4; ++cid) {
     clusters.push_back(bench::make_bench_cluster(cid, 16, 8.0));
   }
   const auto& test = clusters.front().split.test;
-  for (auto& cluster : clusters) {
-    const bench::PrecomputedCategories predicted(
-        cluster.factory->category_model(), test, false);
-    cluster.factory->set_predicted_hints(predicted.hints());
-  }
 
   sim::ExperimentRunner runner;
   std::vector<std::size_t> cluster_index;

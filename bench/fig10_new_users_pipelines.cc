@@ -7,8 +7,8 @@
 // Both variants of every cluster register as their own ExperimentRunner
 // cluster over the shared test trace, so the whole
 // (study x cluster x variant x quota) grid shards across the pool in one
-// run() (fig08 pattern); each factory carries one batched-inference hint
-// pass over its test trace.
+// run() (fig08 pattern); each AdaptiveRanking cell predicts its test trace
+// in one batched pass through its factory's model registry.
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -54,14 +54,9 @@ struct Study {
   std::size_t without_index = 0;
 };
 
-std::unique_ptr<sim::MethodFactory> make_factory(
-    trace::Trace train, const trace::Trace& test) {
-  auto factory = std::make_unique<sim::MethodFactory>(
+std::unique_ptr<sim::MethodFactory> make_factory(trace::Trace train) {
+  return std::make_unique<sim::MethodFactory>(
       std::move(train), cost::Rates{}, bench::bench_model_config(10));
-  const bench::PrecomputedCategories predicted(factory->category_model(),
-                                               test, false);
-  factory->set_predicted_hints(predicted.hints());
-  return factory;
 }
 
 template <typename KeyFn>
@@ -84,9 +79,9 @@ void collect_studies(const char* label, KeyFn key_fn,
     study.label = label;
     study.cluster_id = cid;
     study.split = std::move(split);
-    study.with_factory = make_factory(study.split.train, study.split.test);
-    study.without_factory = make_factory(
-        trace::Trace(cid, std::move(without)), study.split.test);
+    study.with_factory = make_factory(study.split.train);
+    study.without_factory =
+        make_factory(trace::Trace(cid, std::move(without)));
     studies.push_back(std::move(study));
   }
 }

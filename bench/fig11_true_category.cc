@@ -4,9 +4,9 @@
 // diminishing returns; the category design and the adaptive algorithm are
 // what matter.
 //
-// Both series run through the parallel ExperimentRunner: one batched
-// inference pass (predicted) and one labeling pass (truth) feed every cell
-// via the factory's hint tables.
+// Both series run through the parallel ExperimentRunner: predicted cells
+// score their test window in one batched pass through the factory's model
+// registry, and true-category cells read the labeler per job.
 #include <algorithm>
 #include <cstdio>
 
@@ -28,11 +28,6 @@ int main() {
   const auto& test = cluster.split.test;
   auto& factory = *cluster.factory;
   const auto& model = factory.category_model();
-
-  const bench::PrecomputedCategories predicted(model, test, false);
-  const bench::PrecomputedCategories truth(model, test, true);
-  factory.set_predicted_hints(predicted.hints());
-  factory.set_true_hints(truth.hints());
 
   std::printf("# model top-1 accuracy on test week: %.3f\n",
               model.top1_accuracy(test.jobs()));

@@ -7,8 +7,8 @@
 // solution is not sensitive to hyperparameter selection.
 //
 // The 27 x 6 (hyperparameter x quota) grid runs through the parallel
-// ExperimentRunner via per-cell AdaptiveConfig overrides; all cells share
-// one batched inference pass.
+// ExperimentRunner via per-cell AdaptiveConfig overrides; each cell
+// predicts its test window in one batched pass through its model registry.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -27,9 +27,6 @@ int main() {
   auto cluster = bench::make_bench_cluster(0);
   const auto& test = cluster.split.test;
   auto& factory = *cluster.factory;
-  const bench::PrecomputedCategories predicted(factory.category_model(), test,
-                                               false);
-  factory.set_predicted_hints(predicted.hints());
 
   sim::ExperimentRunner runner;
   const auto cluster_index = runner.add_cluster(&factory, &test);

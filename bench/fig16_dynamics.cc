@@ -8,6 +8,8 @@
 
 #include "common.h"
 #include "common/stats.h"
+#include "core/model_registry.h"
+#include "policy/byom_policy.h"
 
 using namespace byom;
 
@@ -20,16 +22,20 @@ int main() {
 
   const auto cluster = bench::make_bench_cluster(0);
   const auto& test = cluster.split.test;
-  const bench::PrecomputedCategories predicted(
-      cluster.factory->category_model(), test, false);
+  auto registry = std::make_shared<core::ModelRegistry>();
+  registry->set_default_model(cluster.factory->shared_category_model());
+  policy::ByomPolicyOptions options;
+  options.adaptive = cluster.factory->adaptive_config();
+  options.precompute_jobs = &test.jobs();
+  options.name = "AdaptiveRanking";
 
   std::printf("quota,hour,act,spillover_pct\n");
   std::printf("# summary below: quota,mean_act,mean_spillover\n");
   std::vector<std::pair<double, double>> summary;
   for (double quota : {0.0001, 0.01, 0.1, 0.5}) {
     const auto cap = sim::quota_capacity(test, quota);
-    auto policy = bench::make_precomputed_ranking(
-        predicted, cluster.factory->adaptive_config());
+    // One batched pass through the registry, then a fresh policy state.
+    auto policy = policy::make_byom_policy(registry, options);
     bench::run_policy(*policy, test, cap);
     common::RunningStats act_stats, spill_stats;
     // Sample the decision log at ~2 hour granularity.

@@ -27,10 +27,6 @@ int main() {
       "fractions cost little (robust cross-layer contract)");
 
   auto cluster = bench::make_bench_cluster(0);
-  // One batched inference pass shared by every cell.
-  const bench::PrecomputedCategories predicted(
-      cluster.factory->category_model(), cluster.split.test, false);
-  cluster.factory->set_predicted_hints(predicted.hints());
 
   sim::ExperimentRunner runner;
   const auto index =

@@ -6,6 +6,8 @@
 #include <cstdio>
 
 #include "common.h"
+#include "core/model_registry.h"
+#include "policy/byom_policy.h"
 
 using namespace byom;
 
@@ -34,16 +36,19 @@ int main() {
   }
 
   for (int n : {2, 5, 15, 25, 35}) {
-    const auto model =
+    const auto model = std::make_shared<const core::CategoryModel>(
         core::CategoryModel::train(split.train.jobs(),
-                                   bench::bench_model_config(n));
-    const bench::PrecomputedCategories predicted(model, split.test, false);
-    policy::AdaptiveConfig acfg;
-    acfg.num_categories = n;
-    auto policy = bench::make_precomputed_ranking(predicted, acfg);
+                                   bench::bench_model_config(n)));
+    auto registry = std::make_shared<core::ModelRegistry>();
+    registry->set_default_model(model);
+    policy::ByomPolicyOptions options;
+    options.adaptive.num_categories = n;
+    options.precompute_jobs = &split.test.jobs();
+    options.name = "AdaptiveRanking";
+    auto policy = policy::make_byom_policy(registry, options);
     const auto result = bench::run_policy(*policy, split.test, cap);
     std::printf("%d,%.3f,%.3f\n", n, result.tco_savings_pct(),
-                model.top1_accuracy(split.test.jobs()));
+                model->top1_accuracy(split.test.jobs()));
   }
   std::printf("# best baseline at quota 0.1: %.3f%% (paper: 10.7%%)\n",
               best_baseline);

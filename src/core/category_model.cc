@@ -1,6 +1,5 @@
 #include "core/category_model.h"
 
-#include <algorithm>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -9,52 +8,6 @@
 #include "ml/metrics.h"
 
 namespace byom::core {
-
-FeatureBlock gather_feature_block(const features::FeatureExtractor& extractor,
-                                  common::Span<const trace::Job* const> jobs,
-                                  const features::FeatureMatrix* matrix,
-                                  std::vector<float>& scratch) {
-  const std::size_t width = extractor.num_features();
-  const std::size_t n = jobs.size();
-  if (matrix != nullptr && matrix->num_features() != width) {
-    matrix = nullptr;
-  }
-  if (n == 0) return FeatureBlock{nullptr, width, 0};
-
-  if (matrix != nullptr) {
-    // Alias fast path: a batch that is exactly a run of consecutive matrix
-    // rows (the common shape — a trace scored against the matrix built
-    // from it) reads the matrix storage in place, zero copies.
-    const std::ptrdiff_t first = matrix->row_index(jobs[0]->job_id);
-    if (first >= 0) {
-      std::size_t run = 1;
-      while (run < n &&
-             matrix->row_index(jobs[run]->job_id) ==
-                 first + static_cast<std::ptrdiff_t>(run)) {
-        ++run;
-      }
-      if (run == n) {
-        return FeatureBlock{matrix->row(static_cast<std::size_t>(first)),
-                            matrix->row_stride(), n};
-      }
-    }
-  }
-
-  // Packed path: one contiguous scratch block, matrix rows copied in, jobs
-  // outside the matrix extracted in place.
-  scratch.resize(n * width);
-  for (std::size_t i = 0; i < n; ++i) {
-    float* row = scratch.data() + i * width;
-    const float* from =
-        matrix != nullptr ? matrix->find(jobs[i]->job_id) : nullptr;
-    if (from != nullptr) {
-      std::copy(from, from + width, row);
-    } else {
-      extractor.extract_into(*jobs[i], common::Span<float>(row, width));
-    }
-  }
-  return FeatureBlock{scratch.data(), width, n};
-}
 
 CategoryModel CategoryModel::train(const std::vector<trace::Job>& train_jobs,
                                    const CategoryModelConfig& config) {
@@ -92,32 +45,6 @@ int CategoryModel::predict_category(const trace::Job& job) const {
 
 int CategoryModel::true_category(const trace::Job& job) const {
   return labeler_.category_of(job);
-}
-
-std::vector<int> CategoryModel::predict_batch(
-    common::Span<const FeatureRow> rows) const {
-  std::vector<const float*> pointers(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) pointers[i] = rows[i].values;
-  return classifier_.predict_batch(pointers.data(), pointers.size());
-}
-
-std::vector<int> CategoryModel::predict_categories(
-    const std::vector<trace::Job>& jobs) const {
-  return predict_categories(jobs, nullptr);
-}
-
-std::vector<int> CategoryModel::predict_categories(
-    const std::vector<trace::Job>& jobs,
-    const features::FeatureMatrix* matrix) const {
-  std::vector<const trace::Job*> pointers;
-  pointers.reserve(jobs.size());
-  for (const auto& job : jobs) pointers.push_back(&job);
-  std::vector<float> scratch;
-  const auto block = gather_feature_block(
-      extractor_,
-      common::Span<const trace::Job* const>(pointers.data(), pointers.size()),
-      matrix, scratch);
-  return classifier_.predict_batch(block.base, block.stride, block.num_rows);
 }
 
 double CategoryModel::top1_accuracy(

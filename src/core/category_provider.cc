@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "core/category_model.h"
 #include "core/labeler.h"
 
 namespace byom::core {
@@ -28,30 +27,6 @@ class HashProvider final : public CategoryProvider {
 
  private:
   int num_categories_;
-};
-
-class ModelProvider final : public CategoryProvider {
- public:
-  ModelProvider(std::shared_ptr<const CategoryModel> model,
-                bool use_true_category)
-      : model_(std::move(model)), use_true_category_(use_true_category) {
-    if (!model_) {
-      throw std::invalid_argument("make_model_provider: null model");
-    }
-  }
-
-  std::string name() const override {
-    return use_true_category_ ? "model:true" : "model:predicted";
-  }
-
-  std::optional<int> category(const trace::Job& job) override {
-    return use_true_category_ ? model_->true_category(job)
-                              : model_->predict_category(job);
-  }
-
- private:
-  std::shared_ptr<const CategoryModel> model_;
-  bool use_true_category_;
 };
 
 class PrecomputedProvider final : public CategoryProvider {
@@ -191,11 +166,6 @@ int hash_category(const trace::Job& job, int num_categories) {
 
 CategoryProviderPtr make_hash_provider(int num_categories) {
   return std::make_shared<HashProvider>(num_categories);
-}
-
-CategoryProviderPtr make_model_provider(
-    std::shared_ptr<const CategoryModel> model, bool use_true_category) {
-  return std::make_shared<ModelProvider>(std::move(model), use_true_category);
 }
 
 CategoryProviderPtr make_precomputed_provider(

@@ -13,15 +13,21 @@
 //
 // Provider hierarchy:
 //   make_hash_provider         uniform hash onto [1, N-1]; never declines
-//   make_model_provider        synchronous CategoryModel inference
-//                              (predicted or ground-truth labels)
 //   make_precomputed_provider  lookup into a batched-inference hint table
 //   make_function_provider     adapter for ad-hoc closures
 //   make_fallback_chain        first provider with an opinion wins
 //   make_noisy_provider        decorator flipping a seeded fraction of
 //                              hints (noisy-hint sensitivity studies)
+//   SwappableHintsProvider     a window's precomputed hint table, swapped
+//                              per window by a streaming cell
+//   core::make_registry_provider  synchronous per-job inference through a
+//                              ModelRegistry (see core/byom.h)
 //   serving::make_served_provider  async hints from a PlacementService
 //                              (see serving/placement_service.h)
+//
+// Model inference reaches a provider only through a ModelRegistry: the
+// registry provider per job, or a table that core::precompute_categories
+// filled in one batched pass.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +42,8 @@
 
 namespace byom::core {
 
-class CategoryModel;  // core/category_model.h
-
 // Precomputed per-job category hints (job_id -> category), typically filled
-// by one CategoryModel::predict_batch pass so the online decision loop never
+// by one core::precompute_categories pass so the online decision loop never
 // touches the model.
 using CategoryHints = std::unordered_map<std::uint64_t, int>;
 
@@ -69,11 +73,6 @@ CategoryProviderPtr make_hash_provider(int num_categories);
 // The hash provider's category for `job`, as a plain function (throws
 // std::invalid_argument unless num_categories >= 2).
 int hash_category(const trace::Job& job, int num_categories);
-
-// Synchronous model-backed inference. With `use_true_category` the provider
-// returns ground-truth labels instead (the Figure 11 perfect-model study).
-CategoryProviderPtr make_model_provider(
-    std::shared_ptr<const CategoryModel> model, bool use_true_category = false);
 
 // Lookup into a precomputed hint table; declines on jobs outside the table
 // (late arrivals, jobs from another trace).

@@ -70,6 +70,67 @@ InferenceScratch& thread_scratch() {
   return scratch;
 }
 
+// One contiguous strided block of feature rows: row r of the batch starts
+// at base + r * stride. This is what the compiled flat-forest kernel
+// consumes — no per-row pointer staging.
+struct FeatureBlock {
+  const float* base = nullptr;
+  std::size_t stride = 0;
+  std::size_t num_rows = 0;
+};
+
+// Gathers the jobs' feature rows into one strided block: when every job
+// resolves to consecutive rows of `matrix` (and the matrix width matches
+// the extractor's schema) the matrix storage is aliased directly — zero
+// copy, zero staging; otherwise rows are packed into `scratch` (matrix
+// rows copied, jobs outside the matrix extracted). `scratch` must outlive
+// the returned block.
+FeatureBlock gather_feature_block(const features::FeatureExtractor& extractor,
+                                  common::Span<const trace::Job* const> jobs,
+                                  const features::FeatureMatrix* matrix,
+                                  std::vector<float>& scratch) {
+  const std::size_t width = extractor.num_features();
+  const std::size_t n = jobs.size();
+  if (matrix != nullptr && matrix->num_features() != width) {
+    matrix = nullptr;
+  }
+  if (n == 0) return FeatureBlock{nullptr, width, 0};
+
+  if (matrix != nullptr) {
+    // Alias fast path: a batch that is exactly a run of consecutive matrix
+    // rows (the common shape — a trace scored against the matrix built
+    // from it) reads the matrix storage in place, zero copies.
+    const std::ptrdiff_t first = matrix->row_index(jobs[0]->job_id);
+    if (first >= 0) {
+      std::size_t run = 1;
+      while (run < n &&
+             matrix->row_index(jobs[run]->job_id) ==
+                 first + static_cast<std::ptrdiff_t>(run)) {
+        ++run;
+      }
+      if (run == n) {
+        return FeatureBlock{matrix->row(static_cast<std::size_t>(first)),
+                            matrix->row_stride(), n};
+      }
+    }
+  }
+
+  // Packed path: one contiguous scratch block, matrix rows copied in, jobs
+  // outside the matrix extracted in place.
+  scratch.resize(n * width);
+  for (std::size_t i = 0; i < n; ++i) {
+    float* row = scratch.data() + i * width;
+    const float* from =
+        matrix != nullptr ? matrix->find(jobs[i]->job_id) : nullptr;
+    if (from != nullptr) {
+      std::copy(from, from + width, row);
+    } else {
+      extractor.extract_into(*jobs[i], common::Span<float>(row, width));
+    }
+  }
+  return FeatureBlock{scratch.data(), width, n};
+}
+
 // ------------------------------------------------------------------- GBDT
 
 class GbdtBackend final : public ModelBackend {

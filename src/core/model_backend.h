@@ -9,7 +9,8 @@
 // Backends in this file (all trainable from the same trace::Job history, so
 // per-pipeline backend choice is a config knob):
 //   kGbdt       the paper's 15-class gradient-boosted-trees CategoryModel,
-//               adapted (node-block batched inference preserved)
+//               adapted; batches run the compiled flat-forest kernel
+//               (ml/flat_forest.h) over a strided feature block
 //   kLogistic   multinomial logistic regression over the same Table-2
 //               feature vector: cheaper to (re)train, smaller, a little less
 //               accurate — the "simple model" a small workload would bring

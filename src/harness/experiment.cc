@@ -91,11 +91,6 @@ void MethodFactory::warm(MethodId id, const MakeOptions& options) const {
   }
 }
 
-bool MethodFactory::uses_custom_backends(const MakeOptions& options) {
-  return options.backend != core::BackendKind::kGbdt ||
-         !options.pipeline_backends.empty();
-}
-
 core::ModelBackendPtr MethodFactory::backend(
     core::BackendKind kind, const std::string& pipeline) const {
   const std::string key =
@@ -136,16 +131,6 @@ std::shared_ptr<core::ModelRegistry> MethodFactory::make_registry(
     registry->register_model(pipeline, backend(kind, pipeline));
   }
   return registry;
-}
-
-void MethodFactory::set_predicted_hints(
-    std::shared_ptr<const policy::CategoryHints> hints) {
-  predicted_hints_ = std::move(hints);
-}
-
-void MethodFactory::set_true_hints(
-    std::shared_ptr<const policy::CategoryHints> hints) {
-  true_hints_ = std::move(hints);
 }
 
 void StreamingCell::open_window(const std::vector<trace::Job>& jobs) const {
@@ -202,25 +187,14 @@ std::unique_ptr<policy::PlacementPolicy> MethodFactory::make_trace_free_policy(
     case MethodId::kAdaptiveHash:
       provider = core::make_hash_provider(adaptive.num_categories);
       break;
-    case MethodId::kAdaptiveRanking:
-      // Share the trained model with the provider: the policy stays valid
-      // independently of this factory's lifetime, without copying the
-      // forest per cell.
-      provider = core::make_model_provider(shared_category_model());
-      if (predicted_hints_) {
-        provider = core::make_fallback_chain(
-            {core::make_precomputed_provider(predicted_hints_, "predicted"),
-             std::move(provider)});
-      }
-      break;
     case MethodId::kTrueCategory:
-      provider = core::make_model_provider(shared_category_model(),
-                                           /*use_true_category=*/true);
-      if (true_hints_) {
-        provider = core::make_fallback_chain(
-            {core::make_precomputed_provider(true_hints_, "true"),
-             std::move(provider)});
-      }
+      // The labeler's ground truth per job (one bucket search). Sharing the
+      // trained model keeps the policy valid independently of this
+      // factory's lifetime, without copying the forest per cell.
+      provider = core::make_function_provider(
+          "true", [model = shared_category_model()](const trace::Job& job) {
+            return std::optional<int>(model->true_category(job));
+          });
       break;
     default:
       throw std::invalid_argument(
@@ -323,10 +297,9 @@ StreamingCell MethodFactory::make_streaming_cell(
                                             queue_capacity, adaptive, options);
       return cell;
     case MethodId::kAdaptiveRanking: {
-      if (!uses_custom_backends(options)) break;  // per-job model inference
-      // A non-default backend mix routes through the registry: open_window
-      // precomputes each window through cell.registry and swaps the table
-      // into cell.window_hints; the sync registry provider answers any job
+      // Categories come from the cell's registry: open_window precomputes
+      // each window through cell.registry and swaps the table into
+      // cell.window_hints; the sync registry provider answers any job
       // outside the current window.
       cell.registry = make_registry(options);
       cell.window_hints = std::make_shared<core::SwappableHintsProvider>(

@@ -23,9 +23,13 @@
 // through these.
 //
 // All adaptive methods construct their category source as a
-// core::CategoryProvider chain (core/category_provider.h); MakeOptions can
-// additionally wrap the chain in a seeded NoisyProvider for hint-noise
-// sensitivity sweeps.
+// core::CategoryProvider chain (core/category_provider.h). Every
+// model-predicted category comes from the cell's core::ModelRegistry
+// (make_registry) through core::predict_categories: AdaptiveRanking
+// precomputes each window through it, the served methods batch through it
+// in the PlacementService. TrueCategory reads the labeler per job, and
+// AdaptiveHash hashes. MakeOptions can additionally wrap the chain in a
+// seeded NoisyProvider for hint-noise sensitivity sweeps.
 #pragma once
 
 #include <cstdint>
@@ -110,9 +114,10 @@ struct MakeOptions {
 
   // ---- model-backend selection (adaptive methods) ----
   // The cluster-default ModelBackend kind serving this cell: the paper's
-  // GBDT, the cheap logistic regression, or the frequency table
-  // (core/model_backend.h). AdaptiveRanking/AdaptiveServed/
-  // AdaptiveServedLatency build their registries from this.
+  // GBDT (sharing the factory's category model), the cheap logistic
+  // regression, or the frequency table (core/model_backend.h). Every
+  // AdaptiveRanking/AdaptiveServed/AdaptiveServedLatency cell predicts
+  // through a registry built from this.
   core::BackendKind backend = core::BackendKind::kGbdt;
   // Per-pipeline overrides — the bring-your-own-model fleet: each listed
   // pipeline gets its own backend of the given kind, trained on that
@@ -146,8 +151,9 @@ struct StreamingCell {
   // the whole test trace by definition. The driver materializes the stream
   // and builds make_context instead; everything else stays O(window).
   bool needs_materialized = false;
-  // Custom-backend ranking: open_window precomputes each window's hints
-  // (through a window-sized FeatureMatrix) and swaps the table in here.
+  // Ranking cells: open_window precomputes each window's hints through
+  // the cell's registry (and a window-sized FeatureMatrix) and swaps the
+  // table in here.
   std::shared_ptr<core::SwappableHintsProvider> window_hints;
   // Offline-served cells: each window's jobs enqueue here before replay.
   std::shared_ptr<serving::PlacementService> window_enqueue;
@@ -208,12 +214,6 @@ class MethodFactory {
   std::shared_ptr<core::ModelRegistry> make_registry(
       const MakeOptions& options) const;
 
-  // True when the cell's backend selection differs from the plain shared
-  // GBDT, in which case the method routes through a registry provider (and
-  // the ranking chain precomputes each window's hints through it). The
-  // single source of truth for that routing decision.
-  static bool uses_custom_backends(const MakeOptions& options);
-
   // Pre-trains whatever `id` needs (category model, lifetime baseline, the
   // cell's backend selection) so parallel cells share finished artifacts
   // instead of serializing on the training lock mid-run.
@@ -224,13 +224,6 @@ class MethodFactory {
   const policy::AdaptiveConfig& adaptive_config() const {
     return adaptive_config_;
   }
-
-  // Precomputed test-trace categories (one CategoryModel::predict_batch /
-  // true-label pass shared by every cell of a sweep). When set,
-  // AdaptiveRanking / TrueCategory policies consult the table first and
-  // only fall back to per-job inference for jobs outside it.
-  void set_predicted_hints(std::shared_ptr<const policy::CategoryHints> hints);
-  void set_true_hints(std::shared_ptr<const policy::CategoryHints> hints);
 
   // Default hint-accuracy half-life for staleness schedules built from
   // MakeOptions with staleness_half_life == 0 (seconds).
@@ -244,7 +237,7 @@ class MethodFactory {
  private:
   // The policy of a method that reads nothing about the test trace at
   // build time and has no window hooks: train-only artifacts (Heuristic,
-  // MLBaseline) or per-job hash/model inference.
+  // MLBaseline) or a per-job hash or ground-truth label.
   std::unique_ptr<policy::PlacementPolicy> make_trace_free_policy(
       MethodId id, std::uint64_t ssd_capacity_bytes,
       const policy::AdaptiveConfig& adaptive,
@@ -261,8 +254,6 @@ class MethodFactory {
   core::CategoryModelConfig model_config_;
   policy::AdaptiveConfig adaptive_config_;
   double default_staleness_half_life_ = 6.0 * 3600.0;
-  std::shared_ptr<const policy::CategoryHints> predicted_hints_;
-  std::shared_ptr<const policy::CategoryHints> true_hints_;
   mutable common::Mutex model_mutex_;
   mutable std::shared_ptr<const core::CategoryModel> model_
       BYOM_GUARDED_BY(model_mutex_);

@@ -44,11 +44,6 @@
 
 namespace byom::policy {
 
-// Precomputed per-job category hints (job_id -> category). Canonical home
-// is core::CategoryHints; this alias keeps existing policy:: spellings
-// working.
-using CategoryHints = core::CategoryHints;
-
 struct AdaptiveConfig {
   int num_categories = 15;           // N
   double lookback_window = 900.0;    // t_w seconds

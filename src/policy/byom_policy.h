@@ -11,8 +11,9 @@
 //   custom_provider  a caller-supplied provider, e.g.
 //                    serving::make_served_provider() for the async
 //                    request-queue -> batcher -> model serving loop
-//   precompute_jobs  one batched predict_batch pass over known upcoming
-//                    jobs, consumed as a hint table (offline sweeps)
+//   precompute_jobs  one batched core::precompute_categories pass over
+//                    known upcoming jobs, consumed as a hint table
+//                    (offline sweeps)
 //   the registry     per-job synchronous inference (always last)
 //
 // make_byom_policy(registry, AdaptiveConfig) is a convenience overload for

@@ -220,33 +220,6 @@ TEST_F(CategoryModelTest, LoadRejectsSplitFeatureOutsideTheRow) {
   EXPECT_THROW(CategoryModel::load(corrupt), std::runtime_error);
 }
 
-TEST_F(CategoryModelTest, BatchPredictionMatchesPerJob) {
-  const auto t = cluster_trace(0, 407);
-  const auto& jobs = t.jobs();
-  const auto batched = model().predict_categories(jobs);
-  ASSERT_EQ(batched.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(batched[i], model().predict_category(jobs[i]));
-  }
-}
-
-TEST_F(CategoryModelTest, PredictBatchOverFeatureRows) {
-  const auto t = cluster_trace(0, 408, 6, 2.0);
-  const auto& jobs = t.jobs();
-  std::vector<std::vector<float>> features;
-  std::vector<FeatureRow> rows;
-  for (const auto& j : jobs) {
-    features.push_back(model().extractor().extract(j));
-  }
-  for (const auto& f : features) rows.push_back(FeatureRow{f.data()});
-  const auto batched =
-      model().predict_batch(common::Span<const FeatureRow>(rows));
-  ASSERT_EQ(batched.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(batched[i], model().predict_category(jobs[i]));
-  }
-}
-
 TEST(CategoryModel, EmptyTrainingThrows) {
   EXPECT_THROW(CategoryModel::train({}, small_model_config()),
                std::invalid_argument);

@@ -534,25 +534,12 @@ TEST(FeatureMatrixIdentity, SchemaMismatchedMatrixIsIgnoredSafely) {
             core::precompute_categories(registry, jobs, 6, &narrow));
 }
 
-TEST(FeatureMatrixIdentity, ModelPredictCategoriesOverloadMatches) {
-  static const core::CategoryModel model = [] {
-    core::CategoryModelConfig config;
-    config.num_categories = 6;
-    config.gbdt.num_rounds = 5;
-    return core::CategoryModel::train(split().train.jobs(), config);
-  }();
-  const auto& jobs = split().test.jobs();
-  const features::FeatureMatrix matrix(model.extractor(), jobs);
-  EXPECT_EQ(model.predict_categories(jobs),
-            model.predict_categories(jobs, &matrix));
-}
-
 // ------------------------------------------- engine + pipeline end to end
 
-// The acceptance oracle extended to registry/matrix-routed backends: with a
-// non-default backend the AdaptiveRanking provider chain precomputes hints
-// through a window-sized FeatureMatrix, and the typed event engine must still
-// replay byte-for-byte like the synchronous reference loop.
+// The acceptance oracle extended to registry/matrix-routed backends: the
+// AdaptiveRanking provider chain precomputes hints through a window-sized
+// FeatureMatrix, and with a non-default backend the typed event engine must
+// still replay byte-for-byte like the synchronous reference loop.
 TEST(EventEngineIdentity, MatrixRoutedBackendsMatchSynchronousOracle) {
   static const sim::MethodFactory factory = [] {
     core::CategoryModelConfig config;

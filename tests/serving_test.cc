@@ -654,8 +654,8 @@ TEST(ShardedService, VirtualTimeRequiresSingleShard) {
 
 // ------------------------------------------------------ provider equivalence
 
-// Sync model inference, a precomputed hint table, and the served pipeline
-// must induce identical placements on a fixed trace.
+// Sync registry inference, a precomputed hint table, and the served
+// pipeline must induce identical placements on a fixed trace.
 TEST(ProviderEquivalence, SyncPrecomputedAndServedPlacementsMatch) {
   auto& f = fixture();
   const auto& test = f.split.test;
@@ -671,7 +671,7 @@ TEST(ProviderEquivalence, SyncPrecomputedAndServedPlacementsMatch) {
     return sim::simulate(test, policy, config);
   };
 
-  const auto sync = run_with(core::make_model_provider(f.model));
+  const auto sync = run_with(core::make_registry_provider(f.registry));
 
   auto hints = std::make_shared<const core::CategoryHints>(
       core::precompute_categories(*f.registry, test.jobs(),
@@ -701,13 +701,10 @@ TEST(ProviderEquivalence, SyncPrecomputedAndServedPlacementsMatch) {
 // sweep results bit-identically when every request meets its deadline.
 TEST(AsyncServingEquivalence, ServedSweepMatchesOfflineBatched) {
   auto& f = fixture();
+  // Offline path: each AdaptiveRanking cell precomputes the test trace in
+  // one batched pass through its registry.
   sim::MethodFactory factory(f.split.train, cost::Rates{},
                              small_model_config());
-  // Offline path: one batched pass over the test trace, shared as hints.
-  auto hints = std::make_shared<const core::CategoryHints>(
-      core::precompute_categories(*f.registry, f.split.test.jobs(),
-                                  f.model->num_categories()));
-  factory.set_predicted_hints(hints);
 
   sim::ExperimentRunner runner;
   const auto index = runner.add_cluster(&factory, &f.split.test);

@@ -339,6 +339,26 @@ TEST_F(ExperimentFactoryTest, BuildsEveryMethod) {
   }
 }
 
+// Default options too: a ranking cell predicts through its own registry,
+// whose default backend is the factory's GBDT, and each window's table
+// holds that model's per-job categories.
+TEST_F(ExperimentFactoryTest, RankingCellPredictsThroughItsRegistry) {
+  const auto& jobs = split().test.jobs();
+  const StreamingCell cell = factory().make_streaming_cell(
+      MethodId::kAdaptiveRanking, trace::summarize(split().test), jobs.size(),
+      quota_capacity(split().test, 0.05), {});
+  ASSERT_NE(cell.registry, nullptr);
+  ASSERT_NE(cell.window_hints, nullptr);
+  ASSERT_NE(cell.context.policy, nullptr);
+  EXPECT_EQ(cell.registry->lookup(jobs.front()),
+            factory().backend(core::BackendKind::kGbdt, ""));
+  cell.open_window(jobs);
+  for (const auto& job : jobs) {
+    EXPECT_EQ(cell.window_hints->category(job),
+              factory().category_model().predict_category(job));
+  }
+}
+
 // With zero hint latency and no staleness schedule the event-driven engine
 // must be bit-identical to the pre-refactor synchronous simulator for every
 // method (the acceptance bar for the refactor).
