@@ -36,8 +36,10 @@
 // latency and removes the per-row loop-exit mispredict. That only pays off
 // on real blocks: a one-row batch (every served hint) goes to the serial
 // walk, which exits at each leaf instead of stepping the tree's full
-// depth. Measured 2.6x faster per row than a one-row blocked pass; the
-// blocked kernel wins from a few rows up.
+// depth. Measured 2.6x faster per row than a one-row blocked pass. Even
+// on full blocks the gain is small on a 4-vCPU Xeon: over a 2,606-row
+// batch the blocked kernel took 3.5-5.3 us/row against 4.2-4.8 us/row
+// for the serial walk, and was no cheaper in 8 of 10 runs.
 #pragma once
 
 #include <cstdint>

@@ -121,6 +121,18 @@ void GbdtClassifier::train(const Dataset& data, const std::vector<int>& labels,
       f[i] += learning_rate_ * tree.predict(data.row(i));
     }
   };
+  // Row i's softmax max and normaliser over the round's starting scores.
+  // Rows are independent, so the pool's workers split them.
+  const auto normalise_row = [&](std::size_t i) {
+    double m = scores[i];
+    for (std::size_t j = 0; j < k; ++j) m = std::max(m, scores[j * n + i]);
+    double sum = 0.0;
+    for (std::size_t j = 0; j < k; ++j) {
+      sum += std::exp(scores[j * n + i] - m);
+    }
+    row_max[i] = m;
+    row_sum[i] = sum;
+  };
   framework::ThreadPool pool(num_workers);
 
   const int max_rounds =
@@ -128,16 +140,7 @@ void GbdtClassifier::train(const Dataset& data, const std::vector<int>& labels,
                std::max(1, params.max_trees_total / num_classes));
   for (int round = 0; round < max_rounds; ++round) {
     rows = subsample_rows(n, params.row_subsample, rng);
-    for (std::size_t i = 0; i < n; ++i) {
-      double m = scores[i];
-      for (std::size_t j = 0; j < k; ++j) m = std::max(m, scores[j * n + i]);
-      double sum = 0.0;
-      for (std::size_t j = 0; j < k; ++j) {
-        sum += std::exp(scores[j * n + i] - m);
-      }
-      row_max[i] = m;
-      row_sum[i] = sum;
-    }
+    pool.parallel_for(0, n, normalise_row);
     pool.parallel_for(0, num_workers, [&](std::size_t w) {
       for (std::size_t c = w; c < k; c += num_workers) {
         fit_class(c, workers[w]);

@@ -8,6 +8,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace byom::ml {
 
@@ -22,6 +23,23 @@ struct SplitChoice {
 double leaf_objective(double g, double h, double lambda) {
   return g * g / (h + lambda);
 }
+
+constexpr int kMaxBins = 256;  // codes are uint8
+
+// One histogram bin's gradient and hessian sums: a row's update to a
+// feature touches one 16-byte pair.
+struct BinSums {
+  double g;
+  double h;
+};
+
+// Features whose histograms one pass over a node's rows fills. A row's
+// gradient pair is loaded once and added into each feature of the block;
+// adds on different features are independent, so they overlap instead of
+// each waiting on the previous store to the same low-cardinality bin.
+// Eight 256-bin histograms with their counts (40 KB) fit on a worker's
+// stack; a block of sixteen measured no faster.
+constexpr std::size_t kFeatureBlock = 8;
 
 }  // namespace
 
@@ -92,45 +110,77 @@ void RegressionTree::fit_in_place(
       continue;
     }
 
-    // Histogram scan: find the best (feature, bin) split.
+    // Histogram scan: find the best (feature, bin) split, kFeatureBlock
+    // splittable features per pass over the node's rows.
     SplitChoice best;
     const double parent_obj = leaf_objective(g_total, h_total, params.lambda);
-    double bin_g[kMaxBins];
-    double bin_h[kMaxBins];
-    int bin_n[kMaxBins];
-    for (std::size_t f = 0; f < codes.size(); ++f) {
-      const int nbins = binner.num_bins(f);
-      if (nbins < 2) continue;
-      std::fill_n(bin_g, nbins, 0.0);
-      std::fill_n(bin_h, nbins, 0.0);
-      std::fill_n(bin_n, nbins, 0);
-      const std::uint8_t* const col = codes[f].data();
-      for (std::uint32_t i = frame.begin; i < frame.end; ++i) {
-        const std::uint32_t r = rows[i];
-        const std::uint8_t b = col[r];
-        bin_g[b] += grad[r];
-        bin_h[b] += hess[r];
-        ++bin_n[b];
+    BinSums bins[kFeatureBlock * kMaxBins];
+    int bin_n[kFeatureBlock * kMaxBins];
+    std::size_t f = 0;
+    while (f < codes.size()) {
+      // The block's histograms sit back to back, each num_bins(f) long.
+      std::size_t block_feature[kFeatureBlock];
+      const std::uint8_t* block_col[kFeatureBlock];
+      std::size_t block_offset[kFeatureBlock];
+      std::size_t width = 0, used = 0;
+      for (; f < codes.size() && width < kFeatureBlock; ++f) {
+        const int nbins = binner.num_bins(f);
+        if (nbins < 2) continue;
+        block_feature[width] = f;
+        block_col[width] = codes[f].data();
+        block_offset[width] = used;
+        used += static_cast<std::size_t>(nbins);
+        ++width;
       }
-      double gl = 0.0, hl = 0.0;
-      int nl = 0;
-      for (int b = 0; b < nbins - 1; ++b) {
-        gl += bin_g[b];
-        hl += bin_h[b];
-        nl += bin_n[b];
-        const int nr = static_cast<int>(count) - nl;
-        if (nl < params.min_samples_leaf || nr < params.min_samples_leaf) {
-          continue;
+      if (width == 0) break;  // only one-bin features were left
+      std::fill_n(bins, used, BinSums{0.0, 0.0});
+      std::fill_n(bin_n, used, 0);
+      // Rows in partition order, as a feature-at-a-time scan would visit
+      // them: every bin's sums are the same additions in the same order.
+      // A full block's width is a constant, so its feature loop unrolls.
+      const auto accumulate = [&](auto block_width) {
+        for (std::uint32_t i = frame.begin; i < frame.end; ++i) {
+          const std::uint32_t r = rows[i];
+          const double g = grad[r];
+          const double h = hess[r];
+          for (std::size_t j = 0; j < block_width; ++j) {
+            const std::size_t b = block_offset[j] + block_col[j][r];
+            bins[b].g += g;
+            bins[b].h += h;
+            ++bin_n[b];
+          }
         }
-        const double gr = g_total - gl;
-        const double hr = h_total - hl;
-        if (hl < params.min_child_hessian || hr < params.min_child_hessian) {
-          continue;
-        }
-        const double gain = leaf_objective(gl, hl, params.lambda) +
-                            leaf_objective(gr, hr, params.lambda) - parent_obj;
-        if (gain > best.gain) {
-          best = {gain, static_cast<int>(f), b};
+      };
+      if (width == kFeatureBlock) {
+        accumulate(std::integral_constant<std::size_t, kFeatureBlock>{});
+      } else {
+        accumulate(width);
+      }
+      for (std::size_t j = 0; j < width; ++j) {
+        const BinSums* const fb = bins + block_offset[j];
+        const int* const fn = bin_n + block_offset[j];
+        const int nbins = binner.num_bins(block_feature[j]);
+        double gl = 0.0, hl = 0.0;
+        int nl = 0;
+        for (int b = 0; b < nbins - 1; ++b) {
+          gl += fb[b].g;
+          hl += fb[b].h;
+          nl += fn[b];
+          const int nr = static_cast<int>(count) - nl;
+          if (nl < params.min_samples_leaf || nr < params.min_samples_leaf) {
+            continue;
+          }
+          const double gr = g_total - gl;
+          const double hr = h_total - hl;
+          if (hl < params.min_child_hessian || hr < params.min_child_hessian) {
+            continue;
+          }
+          const double gain = leaf_objective(gl, hl, params.lambda) +
+                              leaf_objective(gr, hr, params.lambda) -
+                              parent_obj;
+          if (gain > best.gain) {
+            best = {gain, static_cast<int>(block_feature[j]), b};
+          }
         }
       }
     }

@@ -147,16 +147,27 @@ TEST(AllocationGuard, InPlaceTreeBuildIsAllocationFreeOverSizedScratch) {
   // The GBDT trainer's worker loop: a tree fitted in place over scratch and
   // a node array sized up front must not touch the heap, whatever shape
   // the gradients give it, and must match the allocating fit() wrapper.
+  // Eleven features, one of them constant, fill more than one block of
+  // the histogram pass, and 256-bin features its largest histograms.
   constexpr std::size_t kRows = 3000;
-  ml::Dataset data({"x0", "x1", "x2"});
+  ml::Dataset data({"x0", "x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8",
+                    "x9", "x10"});
   for (std::size_t r = 0; r < kRows; ++r) {
     const double t = static_cast<double>(r);
     data.add_row({static_cast<float>(std::sin(t)),
                   static_cast<float>(std::cos(0.37 * t)),
-                  static_cast<float>(r % 17)});
+                  static_cast<float>(r % 17), static_cast<float>(r % 2),
+                  static_cast<float>(r % 3), 1.0f,
+                  static_cast<float>(std::sin(0.11 * t) > 0.2),
+                  static_cast<float>((r * 7) % 40),
+                  static_cast<float>(std::cos(1.3 * t)),
+                  static_cast<float>(r % 5),
+                  static_cast<float>(std::sin(2.9 * t))});
   }
-  const ml::Binner binner = ml::Binner::fit(data, 64);
+  const ml::Binner binner = ml::Binner::fit(data, 256);
   const auto codes = binner.transform(data);
+  EXPECT_EQ(binner.num_bins(0), 256);
+  EXPECT_EQ(binner.num_bins(5), 1);
   const ml::TreeParams params;
   std::vector<double> grad(kRows), hess(kRows, 1.0);
   std::vector<std::uint32_t> rows;

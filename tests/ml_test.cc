@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <string>
 
@@ -262,6 +263,224 @@ TEST(RegressionTree, LoadRejectsHugeNodeCountWithoutAllocatingIt) {
   // from the header would allocate ~40 GB before the stream check.
   std::stringstream huge("1000000000\n1 -1 0 -1 -1 1\n");
   EXPECT_THROW(RegressionTree::load(huge), std::runtime_error);
+}
+
+// The feature-at-a-time histogram builder: one feature's histogram per
+// pass over a node's rows. Kept as the reference fit_in_place's blocked
+// pass must reproduce node for node; nodes come out in the same preorder.
+class ReferenceTreeBuilder {
+ public:
+  ReferenceTreeBuilder(const std::vector<std::vector<std::uint8_t>>& codes,
+                       const Binner& binner, const std::vector<double>& grad,
+                       const std::vector<double>& hess,
+                       const TreeParams& params)
+      : codes_(codes), binner_(binner), grad_(grad), hess_(hess),
+        params_(params) {}
+
+  std::vector<RegressionTree::Node> fit(
+      const std::vector<std::uint32_t>& rows) {
+    nodes_.clear();
+    build(rows, 0);
+    return nodes_;
+  }
+
+ private:
+  static double objective(double g, double h, double lambda) {
+    return g * g / (h + lambda);
+  }
+
+  int build(const std::vector<std::uint32_t>& rows, int depth) {
+    const int index = static_cast<int>(nodes_.size());
+    double g_total = 0.0, h_total = 0.0;
+    for (const std::uint32_t r : rows) {
+      g_total += grad_[r];
+      h_total += hess_[r];
+    }
+    nodes_.emplace_back();
+    nodes_.back().value = -g_total / (h_total + params_.lambda);
+    const std::size_t count = rows.size();
+    if (depth >= params_.max_depth ||
+        count < 2 * static_cast<std::size_t>(params_.min_samples_leaf)) {
+      return index;
+    }
+    double best_gain = 0.0;
+    int best_feature = -1, best_bin = -1;
+    const double parent_obj = objective(g_total, h_total, params_.lambda);
+    double bin_g[256];
+    double bin_h[256];
+    int bin_n[256];
+    for (std::size_t f = 0; f < codes_.size(); ++f) {
+      const int nbins = binner_.num_bins(f);
+      if (nbins < 2) continue;
+      std::fill_n(bin_g, nbins, 0.0);
+      std::fill_n(bin_h, nbins, 0.0);
+      std::fill_n(bin_n, nbins, 0);
+      for (const std::uint32_t r : rows) {
+        const std::uint8_t b = codes_[f][r];
+        bin_g[b] += grad_[r];
+        bin_h[b] += hess_[r];
+        ++bin_n[b];
+      }
+      double gl = 0.0, hl = 0.0;
+      int nl = 0;
+      for (int b = 0; b < nbins - 1; ++b) {
+        gl += bin_g[b];
+        hl += bin_h[b];
+        nl += bin_n[b];
+        const int nr = static_cast<int>(count) - nl;
+        if (nl < params_.min_samples_leaf || nr < params_.min_samples_leaf) {
+          continue;
+        }
+        const double gr = g_total - gl;
+        const double hr = h_total - hl;
+        if (hl < params_.min_child_hessian || hr < params_.min_child_hessian) {
+          continue;
+        }
+        const double gain = objective(gl, hl, params_.lambda) +
+                            objective(gr, hr, params_.lambda) - parent_obj;
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_feature = static_cast<int>(f);
+          best_bin = b;
+        }
+      }
+    }
+    if (best_feature < 0 || best_gain < params_.min_split_gain) return index;
+    std::vector<std::uint32_t> left, right;
+    for (const std::uint32_t r : rows) {
+      const auto code = codes_[static_cast<std::size_t>(best_feature)][r];
+      (code <= best_bin ? left : right).push_back(r);
+    }
+    if (left.empty() || right.empty()) return index;
+    nodes_[static_cast<std::size_t>(index)].leaf = false;
+    nodes_[static_cast<std::size_t>(index)].feature = best_feature;
+    nodes_[static_cast<std::size_t>(index)].threshold = binner_.upper_edge(
+        static_cast<std::size_t>(best_feature), best_bin);
+    const int left_index = build(left, depth + 1);
+    const int right_index = build(right, depth + 1);
+    nodes_[static_cast<std::size_t>(index)].left = left_index;
+    nodes_[static_cast<std::size_t>(index)].right = right_index;
+    return index;
+  }
+
+  const std::vector<std::vector<std::uint8_t>>& codes_;
+  const Binner& binner_;
+  const std::vector<double>& grad_;
+  const std::vector<double>& hess_;
+  const TreeParams& params_;
+  std::vector<RegressionTree::Node> nodes_;
+};
+
+std::uint64_t double_bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+// Feature f's kind cycles through 256 distinct quantiles, a binary flag
+// (one bit of the row index, so an even row count splits exactly in half),
+// a constant (one bin, never split), three values and forty values.
+Dataset mixed_cardinality_dataset(std::size_t num_features,
+                                  std::size_t num_rows, Rng& rng) {
+  std::vector<std::string> names;
+  for (std::size_t f = 0; f < num_features; ++f) {
+    names.push_back("f" + std::to_string(f));
+  }
+  Dataset data(names);
+  std::vector<float> row(num_features);
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    for (std::size_t f = 0; f < num_features; ++f) {
+      switch (f % 5) {
+        case 0: row[f] = static_cast<float>(rng.uniform(-1, 1)); break;
+        case 1: row[f] = static_cast<float>((r >> (f / 5)) & 1); break;
+        case 2: row[f] = 7.0f; break;
+        case 3: row[f] = static_cast<float>(rng.uniform_index(3)); break;
+        default: row[f] = static_cast<float>(rng.uniform_index(40)); break;
+      }
+    }
+    data.add_row(row);
+  }
+  return data;
+}
+
+TEST(RegressionTree, BlockedHistogramsMatchFeatureAtATimeReference) {
+  // Feature counts around the histogram pass's block of eight (the
+  // constants aside, 1, 6, 6, 7, 8, 9 and 49 splittable features), all
+  // rows and a subsample, and min_samples_leaf at the root's split
+  // boundary (rows/2 admits only an even split; rows/2 + 1 admits none).
+  constexpr std::size_t kRows = 1500;
+  Rng rng(25);
+  std::size_t checked_splits = 0, even_root_splits = 0;
+  for (const std::size_t num_features : {1u, 7u, 8u, 9u, 10u, 11u, 61u}) {
+    const Dataset data = mixed_cardinality_dataset(num_features, kRows, rng);
+    const Binner binner = Binner::fit(data, 256);
+    const auto codes = binner.transform(data);
+    EXPECT_EQ(binner.num_bins(0), 256);
+    if (num_features >= 3) {
+      EXPECT_EQ(binner.num_bins(1), 2);
+      EXPECT_EQ(binner.num_bins(2), 1);
+    }
+    // Gradients with a step of similar size on every feature, so each
+    // feature's histogram decides splits somewhere in the tree; hessians
+    // that differ from row counts.
+    std::vector<double> weight(num_features);
+    for (double& w : weight) w = rng.uniform(0.5, 1.0);
+    std::vector<double> grad(kRows), hess(kRows);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      double signal = 0.0;
+      for (std::size_t f = 0; f < num_features; ++f) {
+        if (2 * codes[f][r] >= binner.num_bins(f)) signal += weight[f];
+      }
+      grad[r] = signal + rng.normal(0.0, 0.1);
+      hess[r] = rng.uniform(0.05, 1.0);
+    }
+    std::vector<std::uint32_t> subsample;
+    for (std::uint32_t r = 0; r < kRows; ++r) {
+      if (rng.bernoulli(0.6)) subsample.push_back(r);
+    }
+    std::vector<std::uint32_t> all(kRows);
+    for (std::uint32_t r = 0; r < kRows; ++r) all[r] = r;
+
+    for (const auto* rows : {&all, &subsample}) {
+      const int half = static_cast<int>(rows->size() / 2);
+      for (const int min_leaf : {1, 20, half, half + 1}) {
+        SCOPED_TRACE("features " + std::to_string(num_features) + ", rows " +
+                     std::to_string(rows->size()) + ", min_samples_leaf " +
+                     std::to_string(min_leaf));
+        TreeParams params;
+        params.min_samples_leaf = min_leaf;
+        RegressionTree::Scratch scratch(kRows, params);
+        scratch.rows = *rows;
+        RegressionTree tree;
+        tree.reserve(scratch.max_nodes());
+        tree.fit_in_place(codes, binner, grad, hess, params, scratch);
+        const auto reference =
+            ReferenceTreeBuilder(codes, binner, grad, hess, params)
+                .fit(*rows);
+        ASSERT_EQ(tree.num_nodes(), reference.size());
+        if (min_leaf > half) {
+          EXPECT_EQ(tree.num_nodes(), 1u);
+        }
+        if (min_leaf == half && tree.num_nodes() > 1) ++even_root_splits;
+        for (std::size_t i = 0; i < reference.size(); ++i) {
+          const auto& a = tree.nodes()[i];
+          const auto& b = reference[i];
+          EXPECT_EQ(a.leaf, b.leaf) << "node " << i;
+          EXPECT_EQ(a.feature, b.feature) << "node " << i;
+          EXPECT_EQ(a.threshold, b.threshold) << "node " << i;
+          EXPECT_EQ(a.left, b.left) << "node " << i;
+          EXPECT_EQ(a.right, b.right) << "node " << i;
+          EXPECT_EQ(double_bits(a.value), double_bits(b.value))
+              << "node " << i;
+          if (!a.leaf) ++checked_splits;
+        }
+      }
+    }
+  }
+  // The cases grew real trees, not just stumps, and the binary features
+  // split the full row set exactly at the boundary.
+  EXPECT_GT(checked_splits, 200u);
+  EXPECT_GT(even_root_splits, 0u);
 }
 
 // ---------------------------------------------------------------- GBDT
